@@ -1,10 +1,11 @@
 # Development and CI entry points. `make ci` is the full gate:
-# build + lint + tests (including the quick-suite golden) + race
-# detector + coverage floor + fuzz smoke + experiment smoke run.
+# build + lint + tests (including the quick-suite golden and the
+# benchmark's seed-42 digests) + race detector + coverage floor + fuzz
+# smoke + experiment smoke run.
 
 GO ?= go
 
-.PHONY: all build test golden mem-guard race race-obs race-fault race-shards race-scenario scenario-lint cover cover-check fuzz-smoke vet lint bench-quick bench-obs bench-smoke bench-shards bench-json bench-mem bench-compare smoke ci clean
+.PHONY: all build test perfbench-test golden mem-guard race race-obs race-fault race-shards race-scenario scenario-lint cover cover-check fuzz-smoke vet lint bench-quick bench-obs bench-smoke bench-shards bench-json bench-mem bench-compare smoke ci clean
 
 all: build
 
@@ -76,6 +77,13 @@ vet:
 lint: vet
 	@$(GO) run honnef.co/go/tools/cmd/staticcheck@2023.1.7 ./... \
 		|| echo "lint: staticcheck unavailable (offline?); go vet passed, skipping"
+
+# The repository benchmark's own tests (perfbench/ is a separate module),
+# run offline. They replay every workload at seed 42 against
+# perfbench/digests.json and the quick-suite manifest, so a host-speed
+# change that moves any simulated result fails here.
+perfbench-test:
+	GOFLAGS= GOPROXY=off GOTOOLCHAIN=local $(GO) -C perfbench test ./...
 
 # Byte-identity gate: the quick experiment suite must reproduce the
 # committed sha256 manifest exactly (internal/experiments/testdata).
@@ -162,7 +170,7 @@ bench-mem:
 smoke:
 	$(GO) run ./cmd/experiments -quick -out results-smoke
 
-ci: build lint test golden mem-guard race race-obs race-fault race-shards race-scenario scenario-lint cover-check fuzz-smoke bench-smoke bench-shards bench-compare smoke
+ci: build lint test perfbench-test golden mem-guard race race-obs race-fault race-shards race-scenario scenario-lint cover-check fuzz-smoke bench-smoke bench-shards bench-compare smoke
 
 clean:
 	rm -rf results-smoke cover.out bench-compare.json

@@ -13,7 +13,11 @@ import (
 // random interleaving its predictions are noise, which is exactly the
 // degradation the paper reports for RAND1.
 type SIDPredictor struct {
-	successor map[mem.SID]mem.SID
+	// successor is indexed by SID and grown on demand, so a prediction's
+	// hops are indexed loads instead of map probes; entries counts the
+	// known links.
+	successor []successorLink
+	entries   int
 	last      mem.SID
 	haveLast  bool
 
@@ -36,10 +40,16 @@ func NewSIDPredictor(historyLen int) *SIDPredictor {
 		historyLen = 48
 	}
 	return &SIDPredictor{
-		successor:  make(map[mem.SID]mem.SID),
 		burstEWMA:  1,
 		historyLen: historyLen,
 	}
+}
+
+// successorLink is one successor-table slot: the SID predicted to follow
+// the slot's SID, valid when known.
+type successorLink struct {
+	next  mem.SID
+	known bool
 }
 
 // HistoryLen returns the configured history length.
@@ -63,7 +73,14 @@ func (p *SIDPredictor) Observe(sid mem.SID) {
 		p.runLen++
 		return
 	}
-	p.successor[p.last] = sid
+	for int(p.last) >= len(p.successor) {
+		p.successor = append(p.successor, successorLink{})
+	}
+	l := &p.successor[p.last]
+	if !l.known {
+		p.entries++
+	}
+	*l = successorLink{next: sid, known: true}
 	const alpha = 0.125
 	p.burstEWMA = (1-alpha)*p.burstEWMA + alpha*float64(p.runLen)
 	p.last = sid
@@ -95,13 +112,12 @@ func (p *SIDPredictor) Hops() int {
 func (p *SIDPredictor) Predict(current mem.SID) (mem.SID, bool) {
 	p.predictions.Inc()
 	sid := current
-	for i := 0; i < p.Hops(); i++ {
-		next, ok := p.successor[sid]
-		if !ok {
+	for hops := p.Hops(); hops > 0; hops-- {
+		if int(sid) >= len(p.successor) || !p.successor[sid].known {
 			p.unknowns.Inc()
 			return 0, false
 		}
-		sid = next
+		sid = p.successor[sid].next
 	}
 	return sid, true
 }
@@ -111,10 +127,10 @@ func (p *SIDPredictor) Predict(current mem.SID) (mem.SID, bool) {
 // the predictor). The last-seen state is cleared too if it names the
 // tenant, so the next observation starts a fresh burst.
 func (p *SIDPredictor) Forget(sid mem.SID) {
-	delete(p.successor, sid)
-	for from, to := range p.successor {
-		if to == sid {
-			delete(p.successor, from)
+	for from := range p.successor {
+		if l := &p.successor[from]; l.known && (mem.SID(from) == sid || l.next == sid) {
+			*l = successorLink{}
+			p.entries--
 		}
 	}
 	if p.haveLast && p.last == sid {
@@ -136,7 +152,7 @@ func (p *SIDPredictor) Stats() PredictorStats {
 	return PredictorStats{
 		Predictions: p.predictions.Value(),
 		Unknowns:    p.unknowns.Value(),
-		Entries:     len(p.successor),
+		Entries:     p.entries,
 		BurstEWMA:   p.burstEWMA,
 	}
 }
@@ -145,7 +161,7 @@ func (p *SIDPredictor) Stats() PredictorStats {
 func (p *SIDPredictor) Register(r *obs.Registry, prefix string) {
 	r.Counter(prefix+".predictions", &p.predictions)
 	r.Counter(prefix+".unknowns", &p.unknowns)
-	r.Gauge(prefix+".entries", func() float64 { return float64(len(p.successor)) })
+	r.Gauge(prefix+".entries", func() float64 { return float64(p.entries) })
 	r.Gauge(prefix+".burst_ewma", func() float64 { return p.burstEWMA })
 	r.Gauge(prefix+".history_len", func() float64 { return float64(p.historyLen) })
 }

@@ -41,7 +41,10 @@ type PrefetchUnit struct {
 	buffer    *tlb.Cache
 	predictor *SIDPredictor
 
-	inflight map[mem.SID]bool
+	// inflight marks SIDs with an outstanding prefetch, indexed by SID
+	// and grown on demand; inflightN counts the set marks.
+	inflight  []bool
+	inflightN int
 
 	issued     obs.Counter // prefetch requests sent to the chipset
 	served     obs.Counter // demand requests answered from the buffer
@@ -63,7 +66,6 @@ func NewPrefetchUnit(cfg PrefetchConfig) *PrefetchUnit {
 			Name: "prefetch-buffer", Sets: 1, Ways: cfg.BufferEntries, Policy: tlb.LRU,
 		}),
 		predictor: NewSIDPredictor(cfg.HistoryLen),
-		inflight:  make(map[mem.SID]bool),
 	}
 }
 
@@ -92,11 +94,15 @@ func (u *PrefetchUnit) ShouldPrefetch(current mem.SID) (mem.SID, bool) {
 	if !ok {
 		return 0, false
 	}
+	for int(target) >= len(u.inflight) {
+		u.inflight = append(u.inflight, false)
+	}
 	if u.inflight[target] {
 		u.suppressed.Inc()
 		return 0, false
 	}
 	u.inflight[target] = true
+	u.inflightN++
 	u.issued.Inc()
 	return target, true
 }
@@ -112,7 +118,7 @@ const historySlack = 2 * requestsPerPacket
 // the host uses it to retune the history-length register just above the
 // latency it must hide.
 func (u *PrefetchUnit) Complete(target mem.SID, entries []tlb.Entry, latencyRequests int) {
-	delete(u.inflight, target)
+	u.clearInflight(target)
 	for _, e := range entries {
 		u.buffer.Insert(e)
 		u.installed.Inc()
@@ -127,7 +133,14 @@ func (u *PrefetchUnit) Complete(target mem.SID, entries []tlb.Entry, latencyRequ
 
 // Abort clears the in-flight marker without installing anything (the
 // predicted tenant had no history yet).
-func (u *PrefetchUnit) Abort(target mem.SID) { delete(u.inflight, target) }
+func (u *PrefetchUnit) Abort(target mem.SID) { u.clearInflight(target) }
+
+func (u *PrefetchUnit) clearInflight(sid mem.SID) {
+	if int(sid) < len(u.inflight) && u.inflight[sid] {
+		u.inflight[sid] = false
+		u.inflightN--
+	}
+}
 
 // Invalidate drops a page from the buffer on driver unmap.
 func (u *PrefetchUnit) Invalidate(sid mem.SID, iova uint64, pageShift uint8) {
@@ -142,7 +155,7 @@ func (u *PrefetchUnit) Invalidate(sid mem.SID, iova uint64, pageShift uint8) {
 func (u *PrefetchUnit) InvalidateSID(sid mem.SID) int {
 	n := u.buffer.InvalidateSID(uint32(sid))
 	u.predictor.Forget(sid)
-	delete(u.inflight, sid)
+	u.clearInflight(sid)
 	return n
 }
 
@@ -180,7 +193,7 @@ func (u *PrefetchUnit) Register(r *obs.Registry, prefix string) {
 	r.Counter(prefix+".served", &u.served)
 	r.Counter(prefix+".installed", &u.installed)
 	r.Counter(prefix+".suppressed", &u.suppressed)
-	r.Gauge(prefix+".inflight", func() float64 { return float64(len(u.inflight)) })
+	r.Gauge(prefix+".inflight", func() float64 { return float64(u.inflightN) })
 	u.buffer.Register(r, prefix+".buffer")
 	u.predictor.Register(r, prefix+".predictor")
 }

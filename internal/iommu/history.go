@@ -16,9 +16,15 @@ type HistoryEntry struct {
 // History is the per-DID store of recently accessed gIOVA pages. The
 // paper keeps it in main memory precisely because it scales with tenant
 // count; reading it costs one DRAM access, charged by the core model.
+//
+// Storage is dense and SID-indexed, grown on demand: SID s owns the
+// depth-entry row pages[s*depth:(s+1)*depth], most recent first, of
+// which the first n[s] are live. A record or read is index arithmetic,
+// not a map probe, and a tenant costs depth entries plus one length.
 type History struct {
 	depth int
-	bySID map[mem.SID][]HistoryEntry
+	pages []HistoryEntry
+	n     []int32
 }
 
 // NewHistory creates a store remembering depth pages per tenant.
@@ -26,36 +32,49 @@ func NewHistory(depth int) *History {
 	if depth <= 0 {
 		depth = DefaultHistoryDepth
 	}
-	return &History{depth: depth, bySID: make(map[mem.SID][]HistoryEntry)}
+	return &History{depth: depth}
+}
+
+// row returns sid's live entries, or nil when it has none.
+func (h *History) row(sid mem.SID) []HistoryEntry {
+	if int(sid) >= len(h.n) {
+		return nil
+	}
+	off := int(sid) * h.depth
+	return h.pages[off : off+int(h.n[sid])]
 }
 
 // Record notes that sid translated iova. Consecutive accesses to the same
 // page deduplicate, so the history holds the most recent *distinct* pages
 // (a packet's ring/data/mailbox pages rather than three copies of one).
 func (h *History) Record(sid mem.SID, iova uint64, pageShift uint8) {
+	for int(sid) >= len(h.n) {
+		h.n = append(h.n, 0)
+		h.pages = append(h.pages, make([]HistoryEntry, h.depth)...)
+	}
 	base := iova &^ (uint64(1)<<pageShift - 1)
-	entries := h.bySID[sid]
-	for i, e := range entries {
-		if e.IOVA == base {
-			// Move to front.
-			copy(entries[1:i+1], entries[:i])
-			entries[0] = HistoryEntry{IOVA: base, PageShift: pageShift}
-			return
-		}
+	off := int(sid) * h.depth
+	n := int(h.n[sid])
+	full := h.pages[off : off+h.depth]
+	i := 0
+	for i < n && full[i].IOVA != base {
+		i++
 	}
-	entries = append(entries, HistoryEntry{})
-	copy(entries[1:], entries)
-	entries[0] = HistoryEntry{IOVA: base, PageShift: pageShift}
-	if len(entries) > h.depth {
-		entries = entries[:h.depth]
+	switch {
+	case i < n: // seen: move to front
+	case n < h.depth: // new: the shift below grows the row by one
+		h.n[sid]++
+	default: // new, row full: the oldest falls off
+		i = n - 1
 	}
-	h.bySID[sid] = entries
+	copy(full[1:i+1], full[:i])
+	full[0] = HistoryEntry{IOVA: base, PageShift: pageShift}
 }
 
 // Recent returns up to n most recently used distinct pages for sid,
 // most recent first.
 func (h *History) Recent(sid mem.SID, n int) []HistoryEntry {
-	entries := h.bySID[sid]
+	entries := h.row(sid)
 	if n > len(entries) {
 		n = len(entries)
 	}
@@ -69,7 +88,7 @@ func (h *History) Recent(sid mem.SID, n int) []HistoryEntry {
 // a reused buffer as dst makes steady-state history reads
 // allocation-free.
 func (h *History) AppendRecent(dst []HistoryEntry, sid mem.SID, n int) []HistoryEntry {
-	entries := h.bySID[sid]
+	entries := h.row(sid)
 	if n > len(entries) {
 		n = len(entries)
 	}
@@ -80,17 +99,30 @@ func (h *History) AppendRecent(dst []HistoryEntry, sid mem.SID, n int) []History
 // does not chase stale translations.
 func (h *History) Drop(sid mem.SID, iova uint64, pageShift uint8) {
 	base := iova &^ (uint64(1)<<pageShift - 1)
-	entries := h.bySID[sid]
+	entries := h.row(sid)
 	for i, e := range entries {
 		if e.IOVA == base {
-			h.bySID[sid] = append(entries[:i], entries[i+1:]...)
+			copy(entries[i:], entries[i+1:])
+			h.n[sid]--
 			return
 		}
 	}
 }
 
 // DropSID forgets a tenant's whole history (tenant teardown).
-func (h *History) DropSID(sid mem.SID) { delete(h.bySID, sid) }
+func (h *History) DropSID(sid mem.SID) {
+	if int(sid) < len(h.n) {
+		h.n[sid] = 0
+	}
+}
 
-// Tenants reports how many SIDs have history; for tests.
-func (h *History) Tenants() int { return len(h.bySID) }
+// Tenants reports how many SIDs hold at least one page; for tests.
+func (h *History) Tenants() int {
+	t := 0
+	for _, n := range h.n {
+		if n > 0 {
+			t++
+		}
+	}
+	return t
+}

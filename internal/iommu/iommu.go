@@ -70,6 +70,9 @@ type IOMMU struct {
 	// walk: Translate only needs the access count, so the record slice is
 	// recycled and a warm translation performs no allocation.
 	walkBuf []mem.NestedAccess
+	// derived holds the entry of the latest memo miss, stored or not
+	// (a failed walk, or memoization disabled).
+	derived memoEntry
 
 	// Counters (observability cells; Stats assembles the snapshot view).
 	translations obs.Counter
@@ -184,95 +187,57 @@ func (u *IOMMU) Translate(sid mem.SID, iova uint64, pageShift uint8, recordHisto
 		startLevel = 2
 	}
 
-	// Memoized replay: an epoch-valid entry proves the tenant's tables
-	// are unchanged since the entry's walk, so the outcome — translation,
-	// access count for the chosen resume depth, install addresses — is
-	// replayed without touching the simulated tables.
-	if ent := u.memo.lookup(sid, iova>>mem.PageShift, nt); ent != nil {
-		replay := int(ent.total)
-		ok := true
-		switch startLevel {
-		case 1:
-			replay, ok = int(ent.suf1), ent.tbl1OK
-		case 2:
-			replay, ok = int(ent.suf2), ent.tbl2OK
-		}
-		if ok {
-			nt.ReplayReads(replay)
-			res.MemAccesses += replay
-			res.HPA = ent.hpa4k | iova&(mem.PageSize-1)
-			u.memAccesses.Add(uint64(res.MemAccesses))
-			u.install(sid, iova, pageShift, iotlbKey, res.HPA, ent.tbl1, ent.tbl2, ent.tbl1OK, ent.tbl2OK)
-			return res, nil
+	// Every walk resolves through a memo entry: an epoch-valid stored
+	// one proves the tenant's tables are unchanged since its walk, and a
+	// miss derives one from a silent full walk (storing it when the walk
+	// succeeds). Either way the modeled walk is replayed from the entry —
+	// exactly the accesses of the chosen resume depth are charged, and
+	// the caches install from its table addresses — so the simulated
+	// tables are read once per miss and never re-walked for installs.
+	ent := u.memo.lookup(sid, iova>>mem.PageShift, nt)
+	var walkErr error
+	if ent == nil {
+		walk, err := nt.SilentWalkInto(iova, u.walkBuf[:0])
+		u.walkBuf = walk.Accesses[:0]
+		ent = &u.derived
+		ent.derive(iova, walk.Accesses, walk.HPA)
+		if err != nil {
+			walkErr = fmt.Errorf("iommu: walking %#x for SID %d: %w", iova, sid, err)
+		} else {
+			u.memo.store(sid, iova, nt, ent)
 		}
 	}
-
-	var walk mem.NestedResult
-	var err error
-	switch startLevel {
-	case 1:
-		tblHPA, terr := nt.TableHPA(iova, 1)
-		if terr != nil {
-			return res, terr
+	n, ok := ent.resume(startLevel)
+	if !ok {
+		if walkErr != nil {
+			return res, walkErr
 		}
-		walk, err = nt.WalkFromInto(iova, 1, tblHPA, u.walkBuf[:0])
-	case 2:
-		tblHPA, terr := nt.TableHPA(iova, 2)
-		if terr != nil {
-			return res, terr
-		}
-		walk, err = nt.WalkFromInto(iova, 2, tblHPA, u.walkBuf[:0])
-	default:
-		walk, err = nt.WalkInto(iova, u.walkBuf[:0])
+		return res, fmt.Errorf("iommu: no level-%d table for %#x (SID %d)", startLevel, iova, sid)
 	}
-	u.walkBuf = walk.Accesses[:0]
-	if err != nil {
-		return res, fmt.Errorf("iommu: walking %#x for SID %d: %w", iova, sid, err)
+	nt.ReplayReads(n)
+	if walkErr != nil {
+		return res, walkErr
 	}
-	res.MemAccesses += len(walk.Accesses)
-	res.HPA = walk.HPA
+	res.MemAccesses += n
+	res.HPA = ent.hpa4k | iova&(mem.PageSize-1)
 	u.memAccesses.Add(uint64(res.MemAccesses))
-
-	// Install what the walk learned. A full walk memoizes its outcome
-	// and derives the L1/L2 resume addresses from its own access vector,
-	// which also spares the two silent re-walks the install path would
-	// otherwise perform; a partial (PWC-resumed) walk saw only a suffix,
-	// so it installs the old way and leaves the memo alone.
-	if startLevel == 0 && u.memo != nil {
-		if ent := u.memo.fill(sid, iova, nt, walk.Accesses, walk.HPA); ent != nil {
-			u.install(sid, iova, pageShift, iotlbKey, walk.HPA, ent.tbl1, ent.tbl2, ent.tbl1OK, ent.tbl2OK)
-			return res, nil
-		}
-	}
-	pageMask := uint64(1)<<pageShift - 1
-	if u.iotlb != nil {
-		u.iotlb.Insert(tlb.Entry{Key: iotlbKey, Value: walk.HPA &^ pageMask, PageShift: pageShift})
-	}
-	if tblHPA, terr := nt.TableHPA(iova, 2); terr == nil {
-		u.l3pwc.Insert(tlb.Entry{Key: granuleKey(sid, iova, mem.GiantPageShift), Value: uint64(tblHPA)})
-	}
-	if pageShift == mem.PageShift {
-		if tblHPA, terr := nt.TableHPA(iova, 1); terr == nil {
-			u.l2pwc.Insert(tlb.Entry{Key: granuleKey(sid, iova, mem.HugePageShift), Value: uint64(tblHPA)})
-		}
-	}
+	u.install(sid, iova, pageShift, iotlbKey, ent)
 	return res, nil
 }
 
-// install performs the post-walk cache installs from already-derived
-// resume addresses, sparing the silent table re-walks of the classic
-// install path. The insert set and values match it exactly: tbl2OK/tbl1OK
-// hold precisely when TableHPA(iova, 2)/TableHPA(iova, 1) would succeed.
-func (u *IOMMU) install(sid mem.SID, iova uint64, pageShift uint8, iotlbKey tlb.Key, hpa uint64, tbl1, tbl2 mem.Addr, tbl1OK, tbl2OK bool) {
+// install fills the IOTLB and the page-walk caches after a walk, taking
+// the resume-table addresses from the walk's memo entry: tbl2OK/tbl1OK
+// hold precisely when the walk has a guest L2/L1 table to resume from.
+func (u *IOMMU) install(sid mem.SID, iova uint64, pageShift uint8, iotlbKey tlb.Key, ent *memoEntry) {
 	if u.iotlb != nil {
 		pageMask := uint64(1)<<pageShift - 1
-		u.iotlb.Insert(tlb.Entry{Key: iotlbKey, Value: hpa &^ pageMask, PageShift: pageShift})
+		u.iotlb.Insert(tlb.Entry{Key: iotlbKey, Value: ent.hpa4k &^ pageMask, PageShift: pageShift})
 	}
-	if tbl2OK {
-		u.l3pwc.Insert(tlb.Entry{Key: granuleKey(sid, iova, mem.GiantPageShift), Value: uint64(tbl2)})
+	if ent.tbl2OK {
+		u.l3pwc.Insert(tlb.Entry{Key: granuleKey(sid, iova, mem.GiantPageShift), Value: uint64(ent.tbl2)})
 	}
-	if pageShift == mem.PageShift && tbl1OK {
-		u.l2pwc.Insert(tlb.Entry{Key: granuleKey(sid, iova, mem.HugePageShift), Value: uint64(tbl1)})
+	if pageShift == mem.PageShift && ent.tbl1OK {
+		u.l2pwc.Insert(tlb.Entry{Key: granuleKey(sid, iova, mem.HugePageShift), Value: uint64(ent.tbl1)})
 	}
 }
 

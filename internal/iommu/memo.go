@@ -13,27 +13,28 @@ const DefaultMemoEntries = 1 << 14
 // page) pair. The entry stores everything a replay needs — the 4 KB-
 // granular host translation, the access counts of the full walk and of
 // the two page-walk-cache resume points, and the host addresses of the
-// guest L1/L2 tables that the install path would otherwise re-derive
-// with silent walks. Validity is epoch-checked, never scanned: a stored
+// guest L1/L2 tables that the page-walk-cache installs record. Validity is epoch-checked, never scanned: a stored
 // snapshot of the tenant's table epoch, the per-SID invalidation epoch
 // and the global flush epoch must all still match.
+//
+// Fields are ordered so the struct packs into 64 bytes, one cache line:
+// a lookup is one memory access into a table far larger than L1.
 type memoEntry struct {
-	sid  mem.SID
-	page uint64 // gIOVA >> mem.PageShift
+	sid      mem.SID
+	sidEpoch uint32
+	page     uint64 // gIOVA >> mem.PageShift
 
-	tableEpoch  uint64
-	sidEpoch    uint32
-	globalEpoch uint32
-
+	tableEpoch uint64
 	hpa4k      uint64 // host translation of the key's 4 KB page (low 12 bits clear)
 	tbl1, tbl2 mem.Addr
-	tbl1OK     bool
-	tbl2OK     bool
-	valid      bool
 
-	total uint16 // accesses of the full two-dimensional walk
-	suf1  uint16 // accesses when resuming at guest L1 (L2-PWC hit)
-	suf2  uint16 // accesses when resuming at guest L2 (L3-PWC hit)
+	globalEpoch uint32
+	total       uint16 // accesses of the full two-dimensional walk
+	suf1        uint16 // accesses when resuming at guest L1 (L2-PWC hit)
+	suf2        uint16 // accesses when resuming at guest L2 (L3-PWC hit)
+	tbl1OK      bool
+	tbl2OK      bool
+	valid       bool
 }
 
 // walkMemo is the epoch-validated walk-memoization table: direct-mapped
@@ -134,29 +135,16 @@ func (m *walkMemo) lookup(sid mem.SID, page uint64, nt *mem.NestedTable) *memoEn
 	return ent
 }
 
-// fill memoizes one successful full walk. The resume-point table
-// addresses and suffix access counts are derived from the walk's own
-// access vector: the GuestEntry read at guest level L happens at
-// (level-L table base) + index(iova, L)*8, and a page-walk-cache resume
-// from level L replays exactly the vector's suffix from that read — so
-// one walk yields the full-walk count, both partial-walk counts and both
-// install addresses without any extra table traffic.
-func (m *walkMemo) fill(sid mem.SID, iova uint64, nt *mem.NestedTable, accesses []mem.NestedAccess, hpa uint64) *memoEntry {
-	if m == nil || len(accesses) == 0 || len(accesses) > 0xFFFF {
-		return nil
-	}
-	ent := &m.entries[memoHash(sid, iova>>mem.PageShift)&m.mask]
-	m.fills++
-	*ent = memoEntry{
-		sid:         sid,
-		page:        iova >> mem.PageShift,
-		tableEpoch:  nt.Epoch(),
-		sidEpoch:    m.sidEpoch(sid),
-		globalEpoch: m.globalEp,
-		hpa4k:       hpa &^ (mem.PageSize - 1),
-		total:       uint16(len(accesses)),
-		valid:       true,
-	}
+// derive builds the replay data of one nested walk from its access
+// vector: the GuestEntry read at guest level L happens at (level-L table
+// base) + index(iova, L)*8, and a page-walk-cache resume from level L
+// performs exactly the vector's suffix from that read — so one walk
+// yields the full-walk count, both resume counts and both install
+// addresses without any extra table traffic. A failed walk derives the
+// same fields for the prefix it completed; tbl1OK/tbl2OK stay false for
+// a level the walk never read.
+func (ent *memoEntry) derive(iova uint64, accesses []mem.NestedAccess, hpa uint64) {
+	*ent = memoEntry{hpa4k: hpa &^ (mem.PageSize - 1), total: uint16(len(accesses))}
 	for i := range accesses {
 		a := &accesses[i]
 		if a.Kind != mem.GuestEntry {
@@ -175,7 +163,36 @@ func (m *walkMemo) fill(sid mem.SID, iova uint64, nt *mem.NestedTable, accesses 
 			ent.suf1 = uint16(len(accesses) - i)
 		}
 	}
-	return ent
+}
+
+// resume returns how many accesses a walk resuming at startLevel (0 for
+// a full walk) performs, and false when the walk has no guest table at
+// that level (the page is mapped by a larger leaf above it).
+func (ent *memoEntry) resume(startLevel int) (int, bool) {
+	switch startLevel {
+	case 1:
+		return int(ent.suf1), ent.tbl1OK
+	case 2:
+		return int(ent.suf2), ent.tbl2OK
+	}
+	return int(ent.total), true
+}
+
+// store memoizes a successful walk's derived entry for (sid, iova's 4 KB
+// page) under the tenant's current epochs, overwriting the slot.
+func (m *walkMemo) store(sid mem.SID, iova uint64, nt *mem.NestedTable, ent *memoEntry) {
+	if m == nil {
+		return
+	}
+	slot := &m.entries[memoHash(sid, iova>>mem.PageShift)&m.mask]
+	m.fills++
+	*slot = *ent
+	slot.sid = sid
+	slot.page = iova >> mem.PageShift
+	slot.tableEpoch = nt.Epoch()
+	slot.sidEpoch = m.sidEpoch(sid)
+	slot.globalEpoch = m.globalEp
+	slot.valid = true
 }
 
 // MemoStats reports the walk-memoization counters. They are intentionally

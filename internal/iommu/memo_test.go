@@ -3,6 +3,7 @@ package iommu
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"hypertrio/internal/mem"
 	"hypertrio/internal/workload"
@@ -13,10 +14,17 @@ import (
 // drives both through the same randomized interleaving of translations,
 // mid-flight remaps, page/tenant invalidations, driver unmaps and global
 // flushes. Every translation must return an identical Result (HPA,
-// hit flags, PWC level, access count) and identical error disposition,
-// and the final Stats must match field for field: memoization is an
-// engine optimization, not a modeled structure, so it may never change
-// a single observable number.
+// hit flags, PWC level, access count), identical error disposition and
+// an identical number of host-memory reads, and the final Stats must
+// match field for field: memoization is an engine optimization, not a
+// modeled structure, so it may never change a single observable number.
+//
+// A third, IOMMU-less world is the reference for the walk itself: every
+// translation that reaches the walker is recomputed there the direct way
+// — WalkInto for a full walk, TableHPA + WalkFromInto for a PWC-resumed
+// one — and must match in HPA, walk accesses, error disposition and
+// host-memory reads. That pins the replayed suffix to the modeled walk
+// and proves the silent walk behind every memo miss charges nothing.
 func driveMemoDifferential(t *testing.T, iotlbSets int, seed int64) {
 	t.Helper()
 	const nTenants = 3
@@ -28,6 +36,13 @@ func driveMemoDifferential(t *testing.T, iotlbSets int, seed int64) {
 	cfgU := testConfig(iotlbSets)
 	cfgU.MemoEntries = -1
 	uU := New(cfgU, ctU, tenantsU)
+
+	_, _, spacesR := buildTenants(t, nTenants, workload.Mediastream)
+	hostM := spacesM[0].Nested.Host().Space()
+	hostU := spacesU[0].Nested.Host().Space()
+	hostR := spacesR[0].Nested.Host().Space()
+	worlds := [][]*workload.AddressSpace{spacesM, spacesU, spacesR}
+	var resumed, fullWalks int
 
 	rng := rand.New(rand.NewSource(seed))
 
@@ -48,14 +63,63 @@ func driveMemoDifferential(t *testing.T, iotlbSets int, seed int64) {
 		}
 	}
 
+	// reference walks iova the pre-memo way in the reference world and
+	// returns its HPA, access count, error and host-memory reads.
+	reference := func(sid mem.SID, iova uint64, pwcLevel int) (uint64, int, error, uint64) {
+		nt := spacesR[sid-1].Nested
+		before := hostR.Reads()
+		var walk mem.NestedResult
+		var err error
+		if pwcLevel == 0 {
+			walk, err = nt.WalkInto(iova, nil)
+		} else {
+			var tbl mem.Addr
+			if tbl, err = nt.TableHPA(iova, pwcLevel-1); err == nil {
+				walk, err = nt.WalkFromInto(iova, pwcLevel-1, tbl, nil)
+			}
+		}
+		return walk.HPA, len(walk.Accesses), err, hostR.Reads() - before
+	}
+
 	translate := func(sid mem.SID, iova uint64, shift uint8, op int) {
+		readsM, readsU := hostM.Reads(), hostU.Reads()
 		rM, errM := uM.Translate(sid, iova, shift, true)
 		rU, errU := uU.Translate(sid, iova, shift, true)
+		readsM, readsU = hostM.Reads()-readsM, hostU.Reads()-readsU
 		if (errM == nil) != (errU == nil) {
 			t.Fatalf("op %d: error disposition diverged: memo=%v uncached=%v", op, errM, errU)
 		}
 		if rM != rU {
 			t.Fatalf("op %d: SID %d iova %#x: memoized %+v, uncached %+v", op, sid, iova, rM, rU)
+		}
+		if readsM != readsU {
+			t.Fatalf("op %d: SID %d iova %#x: memoized walk read %d entries, uncached %d", op, sid, iova, readsM, readsU)
+		}
+		if rM.IOTLBHit {
+			return // answered before the walker
+		}
+		if rM.PWCLevel != 0 {
+			resumed++
+		} else {
+			fullWalks++
+		}
+		hpa, n, err, reads := reference(sid, iova, rM.PWCLevel)
+		walked := rM.MemAccesses
+		if !rM.CCHit {
+			walked -= mem.ContextReadAccesses
+		}
+		if (err == nil) != (errM == nil) {
+			t.Fatalf("op %d: SID %d iova %#x PWC level %d: error disposition %v, reference %v", op, sid, iova, rM.PWCLevel, errM, err)
+		}
+		if readsM != reads {
+			t.Fatalf("op %d: SID %d iova %#x PWC level %d: %d host reads, reference walk %d", op, sid, iova, rM.PWCLevel, readsM, reads)
+		}
+		if err == nil && (rM.HPA != hpa || walked != n) {
+			t.Fatalf("op %d: SID %d iova %#x PWC level %d: HPA %#x after %d accesses, reference %#x after %d",
+				op, sid, iova, rM.PWCLevel, rM.HPA, walked, hpa, n)
+		}
+		if err != nil && walked != 0 {
+			t.Fatalf("op %d: failed walk reported %d accesses", op, walked)
 		}
 	}
 
@@ -70,11 +134,10 @@ func driveMemoDifferential(t *testing.T, iotlbSets int, seed int64) {
 		case r < 16: // mid-flight remap of a data page onto a fresh frame
 			j := rng.Intn(len(asM.DataPages))
 			iova := asM.DataPages[j]
-			if _, _, err := asM.Nested.MapIOVA(iova, mem.HugePageShift); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := asU.Nested.MapIOVA(iova, mem.HugePageShift); err != nil {
-				t.Fatal(err)
+			for _, w := range worlds {
+				if _, _, err := w[k].Nested.MapIOVA(iova, mem.HugePageShift); err != nil {
+					t.Fatal(err)
+				}
 			}
 			// Half the remaps close the stale window immediately; the other
 			// half leave the chipset serving the old frame until the next
@@ -87,21 +150,19 @@ func driveMemoDifferential(t *testing.T, iotlbSets int, seed int64) {
 		case r < 17: // driver unmap + invalidation, then remap the page back
 			j := rng.Intn(len(asM.InitPages))
 			iova := asM.InitPages[j]
-			if _, err := asM.Nested.UnmapIOVA(iova, mem.PageShift); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := asU.Nested.UnmapIOVA(iova, mem.PageShift); err != nil {
-				t.Fatal(err)
+			for _, w := range worlds {
+				if _, err := w[k].Nested.UnmapIOVA(iova, mem.PageShift); err != nil {
+					t.Fatal(err)
+				}
 			}
 			uM.Invalidate(asM.SID, iova, mem.PageShift)
 			uU.Invalidate(asU.SID, iova, mem.PageShift)
 			// The unmapped page must fail (or stale-hit) identically.
 			translate(asM.SID, iova, mem.PageShift, op)
-			if _, _, err := asM.Nested.MapIOVA(iova, mem.PageShift); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := asU.Nested.MapIOVA(iova, mem.PageShift); err != nil {
-				t.Fatal(err)
+			for _, w := range worlds {
+				if _, _, err := w[k].Nested.MapIOVA(iova, mem.PageShift); err != nil {
+					t.Fatal(err)
+				}
 			}
 			translate(asM.SID, iova, mem.PageShift, op)
 		case r < 19: // tenant teardown
@@ -121,6 +182,12 @@ func driveMemoDifferential(t *testing.T, iotlbSets int, seed int64) {
 
 	if sM, sU := uM.Stats(), uU.Stats(); sM != sU {
 		t.Fatalf("final stats diverged:\nmemoized: %+v\nuncached: %+v", sM, sU)
+	}
+	if hostM.Reads() != hostU.Reads() {
+		t.Fatalf("host reads diverged: memoized %d, uncached %d", hostM.Reads(), hostU.Reads())
+	}
+	if resumed == 0 || fullWalks == 0 {
+		t.Fatalf("run checked %d resumed and %d full walks; want both", resumed, fullWalks)
 	}
 	ms := uM.MemoStats()
 	if !ms.Enabled || ms.Fills == 0 {
@@ -170,8 +237,8 @@ func TestMemoEpochInvalidation(t *testing.T) {
 		return u.MemoStats()
 	}
 	// refill restores a fresh, valid memo entry for as.Ring: the flush
-	// empties the PWCs (a PWC-resumed rewalk never refills the memo — only
-	// a full walk does), so the next translate is a full walk that fills.
+	// empties the PWCs, so the next translate is a full walk, which
+	// misses the memo (the flush bumped the global epoch) and fills it.
 	refill := func(as *workload.AddressSpace) {
 		t.Helper()
 		u.FlushAll()
@@ -196,6 +263,29 @@ func TestMemoEpochInvalidation(t *testing.T) {
 	warm(a) // first full walk fills
 	expect(a, "steady state", true)
 	expect(a, "steady state", true)
+
+	// A PWC-resumed walk of a fresh page fills the memo too: the ring
+	// walk installed the walk caches for its granules, so the mailbox
+	// page resumes from one, misses the memo, and fills it from a silent
+	// full walk; its next translation replays from the memo.
+	before := u.MemoStats()
+	res, err := u.Translate(a.SID, a.Mailbox, mem.PageShift, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PWCLevel == 0 {
+		t.Fatalf("mailbox walk did not resume from a page-walk cache: %+v", res)
+	}
+	if after := u.MemoStats(); after.Misses != before.Misses+1 || after.Fills != before.Fills+1 {
+		t.Fatalf("resumed walk of a fresh page did not fill: %+v -> %+v", before, after)
+	}
+	before = u.MemoStats()
+	if again, err := u.Translate(a.SID, a.Mailbox, mem.PageShift, true); err != nil || again != res {
+		t.Fatalf("memoized resumed walk = %+v, %v; first walk %+v", again, err, res)
+	}
+	if after := u.MemoStats(); after.Hits != before.Hits+1 {
+		t.Fatalf("resumed walk's memo entry did not hit: %+v -> %+v", before, after)
+	}
 
 	// Channel 1: a table mutation anywhere in tenant A's tables (a map of
 	// an otherwise-unused gIOVA region) advances A's table epoch.
@@ -226,4 +316,12 @@ func TestMemoEpochInvalidation(t *testing.T) {
 	u.FlushAll()
 	expect(a, "FlushAll (tenant A)", false)
 	expect(b, "FlushAll (tenant B)", false)
+}
+
+// TestMemoEntryFitsCacheLine pins the entry layout at 64 bytes: the memo
+// table is far larger than L1, so a lookup should cost one cache line.
+func TestMemoEntryFitsCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(memoEntry{}); got != 64 {
+		t.Fatalf("memoEntry is %d bytes, want 64 (one cache line)", got)
+	}
 }

@@ -339,6 +339,34 @@ func TestTableHPAIsSilent(t *testing.T) {
 	}
 }
 
+// TestSilentWalkMatchesWalk: SilentWalkInto returns exactly what
+// WalkInto returns, on success and on a not-mapped failure, and leaves
+// the host read counter untouched either way.
+func TestSilentWalkMatchesWalk(t *testing.T) {
+	nt, host := newTestNested(t)
+	if _, _, err := nt.MapIOVA(0x34800000, PageShift); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		iova   uint64
+		mapped bool
+	}{{0x34800123, true}, {0x34801000, false}} {
+		iova := tc.iova
+		want, wantErr := nt.WalkInto(iova, nil)
+		if (wantErr == nil) != tc.mapped {
+			t.Fatalf("iova %#x: walk error %v, want mapped=%v", iova, wantErr, tc.mapped)
+		}
+		before := host.Reads()
+		got, err := nt.SilentWalkInto(iova, nil)
+		if host.Reads() != before {
+			t.Fatalf("iova %#x: SilentWalkInto changed read count: %d -> %d", iova, before, host.Reads())
+		}
+		if (err == nil) != (wantErr == nil) || got.HPA != want.HPA || len(got.Accesses) != len(want.Accesses) {
+			t.Fatalf("iova %#x: silent walk %+v, %v; walk %+v, %v", iova, got, err, want, wantErr)
+		}
+	}
+}
+
 // Property: for random nested mappings, walk translation equals the
 // allocator's record and access counts match the paper's arithmetic.
 func TestPropertyNestedRoundTrip(t *testing.T) {

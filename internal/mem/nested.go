@@ -225,12 +225,25 @@ func (nt *NestedTable) WalkInto(iova uint64, acc []NestedAccess) (NestedResult, 
 	return nt.WalkFromInto(iova, nt.guest.levels, Addr(rootHost), res.Accesses)
 }
 
+// SilentWalkInto is WalkInto without charging its reads to host memory:
+// the read counter is restored on every path, errors included, so the
+// walk leaves no trace in the model's accounting. The IOMMU model runs it
+// to learn a walk's full access vector (translation, resume-point table
+// addresses and suffix counts) and then charges only the reads the
+// modeled walk performs.
+func (nt *NestedTable) SilentWalkInto(iova uint64, acc []NestedAccess) (NestedResult, error) {
+	reads := nt.hostSpace.reads
+	res, err := nt.WalkInto(iova, acc)
+	nt.hostSpace.reads = reads
+	return res, err
+}
+
 // TableHPA returns the host-physical address of the guest table page that
 // a partial walk resumes from at the given guest level, by performing a
-// silent (uncounted) walk. The IOMMU model uses it when installing
-// page-walk-cache entries.
+// silent (uncounted) walk.
 func (nt *NestedTable) TableHPA(iova uint64, level int) (Addr, error) {
-	// Silent walk: replay the descent without recording accesses.
+	reads := nt.hostSpace.reads
+	defer func() { nt.hostSpace.reads = reads }()
 	curGPA := uint64(nt.guest.Root())
 	for l := nt.guest.levels; l > level; l-- {
 		hostRes, err := nt.host.WalkFromInto(curGPA, nt.host.levels, nt.host.root, nt.hostBuf[:0])
@@ -238,13 +251,11 @@ func (nt *NestedTable) TableHPA(iova uint64, level int) (Addr, error) {
 		if err != nil {
 			return 0, err
 		}
-		nt.hostSpace.reads -= uint64(len(hostRes.Accesses)) // silent
 		entryHost := Addr(hostRes.PA) + Addr(index(iova, l)*8)
 		e, err := nt.hostSpace.ReadEntry(entryHost)
 		if err != nil {
 			return 0, err
 		}
-		nt.hostSpace.reads-- // silent
 		if e&ptePresent == 0 {
 			return 0, &NotMappedError{VA: iova, Level: l}
 		}
@@ -258,7 +269,6 @@ func (nt *NestedTable) TableHPA(iova uint64, level int) (Addr, error) {
 	if err != nil {
 		return 0, err
 	}
-	nt.hostSpace.reads -= uint64(len(hostRes.Accesses))
 	return Addr(hostRes.PA), nil
 }
 
