@@ -67,6 +67,7 @@ fuzz-smoke:
 	$(GO) test ./internal/device -run '^$$' -fuzz FuzzPredictor -fuzztime 5s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineMatchesHeapRef -fuzztime 5s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzScenarioCodec -fuzztime 5s
+	$(GO) test ./internal/tlb -run '^$$' -fuzz FuzzCacheMatchesReference -fuzztime 5s
 
 vet:
 	$(GO) vet ./...

@@ -310,6 +310,37 @@ func BenchmarkDevTLB(b *testing.B) {
 	}
 }
 
+// BenchmarkTLBHotPath times the lookup-then-fill-on-miss step every
+// translation structure runs, at the geometries the HyperTRIO
+// configuration gives them and the working set of the paper's headline
+// point: 1024 SIDs round-robin, each with a few tags. The context cache
+// keys on the SID alone; the page-walk cache and DevTLB are SID-indexed
+// LFU; the prefetch buffer is a small fully associative LRU.
+func BenchmarkTLBHotPath(b *testing.B) {
+	const sids = 1024
+	for _, bc := range []struct {
+		name string
+		cfg  tlb.Config
+		tags int // distinct tags per SID
+	}{
+		{"context-1x64-lru", iommu.DefaultContextCache(), 1},
+		{"pwc-32x16-lfu-bysid", tlb.Config{Name: "l2pwc", Sets: 32, Ways: 16, Policy: tlb.LFU, Index: tlb.BySID}, 3},
+		{"devtlb-8x8-lfu-bysid", tlb.Config{Name: "devtlb", Sets: 8, Ways: 8, Policy: tlb.LFU, Index: tlb.BySID}, 4},
+		{"pb-1x8-lru", tlb.Config{Name: "prefetch-buffer", Sets: 1, Ways: 8, Policy: tlb.LRU}, 2},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := tlb.New(bc.cfg)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				key := tlb.Key{SID: uint32(i%sids) + 1, Tag: uint64(i / sids % bc.tags)}
+				if _, ok := c.Lookup(key); !ok {
+					c.Insert(tlb.Entry{Key: key, Value: uint64(i)})
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkIOMMUTranslate(b *testing.B) {
 	host := mem.NewSpace("host", 0x1_0000_0000, 0)
 	ct := mem.NewContextTable()
@@ -388,6 +419,59 @@ func BenchmarkIOMMUTranslateResume(b *testing.B) {
 		if res.PWCLevel == 0 {
 			b.Fatalf("SID %d iova %#x: full walk in the resumed-walk benchmark", p.sid, p.iova)
 		}
+	}
+}
+
+// BenchmarkIOMMUTranslateShared times chipset translations with the
+// tenant tables core builds at the headline point: 1024 websearch SIDs
+// registered on one template table per ring-slot class, round-robin over
+// SIDs, each translating its ring, mailbox, init and data pages. The
+// walk caches are SID-indexed as in the HyperTRIO configuration, so
+// most translations miss them and walk, and the walk memo answers for
+// every SID on a template once any of them has walked the page.
+func BenchmarkIOMMUTranslateShared(b *testing.B) {
+	const tenants = 1024
+	host := mem.NewSpace("host", 0x1_0000_0000, 0)
+	ct := mem.NewContextTable()
+	tt := mem.NewTenantTables(tenants)
+	templates := make([]*workload.AddressSpace, workload.RingSlots)
+	for c := range templates {
+		as, err := workload.BuildAddressSpace(workload.ProfileFor(workload.Websearch), mem.SID(c+1), host, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		templates[c] = as
+	}
+	var pages [][]uint64 // per template: every page its SIDs translate
+	for _, as := range templates {
+		p := append([]uint64{as.Ring, as.Mailbox}, as.InitPages...)
+		pages = append(pages, append(p, as.DataPages...))
+	}
+	for i := 1; i <= tenants; i++ {
+		nt := templates[(i-1)%len(templates)].Nested
+		tt.Set(mem.SID(i), nt)
+		ct.Set(mem.SID(i), mem.ContextEntry{DID: uint32(i), GuestRoot: nt.GuestRoot(), HostRoot: nt.HostRoot()})
+	}
+	u := iommu.New(iommu.Config{
+		ContextCache: iommu.DefaultContextCache(),
+		L2PWC:        tlb.Config{Name: "l2", Sets: 32, Ways: 16, Policy: tlb.LFU, Index: tlb.BySID},
+		L3PWC:        tlb.Config{Name: "l3", Sets: 64, Ways: 16, Policy: tlb.LFU, Index: tlb.BySID},
+	}, ct, tt)
+	translate := func(i int) {
+		sid := i%tenants + 1
+		tp := pages[(sid-1)%len(pages)]
+		iova := tp[i/tenants%len(tp)]
+		if _, err := u.Translate(mem.SID(sid), iova, workload.PageShiftOf(iova), true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < tenants*len(pages[0]); i++ {
+		translate(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		translate(i)
 	}
 }
 

@@ -45,7 +45,9 @@ import (
 
 	"hypertrio"
 	"hypertrio/internal/fault"
+	"hypertrio/internal/iommu"
 	"hypertrio/internal/obs"
+	"hypertrio/internal/pipeline"
 	"hypertrio/internal/profiling"
 	"hypertrio/internal/scenario"
 	"hypertrio/internal/sim"
@@ -453,6 +455,10 @@ func run(o options, out io.Writer) error {
 		fmt.Fprintf(out, "  ContextCache:  %+v\n", res.IOMMU.ContextCache)
 		fmt.Fprintf(out, "  L2 PWC:        %+v\n", res.IOMMU.L2PWC)
 		fmt.Fprintf(out, "  L3 PWC:        %+v\n", res.IOMMU.L3PWC)
+		if ms, ok := walkMemoStats(sys); ok {
+			fmt.Fprintf(out, "  WalkMemo:      hits=%d misses=%d fills=%d entries=%d (host-speed cache, not modeled hardware)\n",
+				ms.Hits, ms.Misses, ms.Fills, ms.Entries)
+		}
 	}
 
 	if o.traceFile != "" {
@@ -468,6 +474,20 @@ func run(o options, out io.Writer) error {
 		fmt.Fprintf(out, "wrote %s\n", o.metricsFile)
 	}
 	return nil
+}
+
+// walkMemoStats returns the chipset's walk-memo counters, or false when
+// the run has no chipset stage or memoization is off. The memo only
+// speeds up the simulator; its counters stay out of Result and the
+// metrics registry.
+func walkMemoStats(sys *hypertrio.System) (iommu.MemoStats, bool) {
+	for _, st := range sys.Chain().Stages() {
+		if cs, ok := st.(*pipeline.ChipsetStage); ok {
+			ms := cs.IOMMU().MemoStats()
+			return ms, ms.Enabled
+		}
+	}
+	return iommu.MemoStats{}, false
 }
 
 // loadScenario resolves -scenario: an existing file decodes as JSON;

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"hypertrio"
 	"hypertrio/internal/fault"
+	"hypertrio/internal/iommu"
 	"hypertrio/internal/obs"
 	"hypertrio/internal/scenario"
 	"hypertrio/internal/sim"
@@ -468,6 +470,35 @@ func TestCLIProfilesWritten(t *testing.T) {
 		if fi.Size() == 0 {
 			t.Fatalf("%s is empty", p)
 		}
+	}
+}
+
+// TestCLIVerboseReportsWalkMemo checks -v prints one walk-memo line,
+// labelled as a host-speed cache, with counters that saw traffic.
+func TestCLIVerboseReportsWalkMemo(t *testing.T) {
+	var stdout, stderr strings.Builder
+	args := []string{"-tenants", "8", "-scale", "0.002", "-v"}
+	if got := cliMain(args, &stdout, &stderr); got != 0 {
+		t.Fatalf("exit %d, stderr: %s", got, stderr.String())
+	}
+	var lines []string
+	for _, l := range strings.Split(stdout.String(), "\n") {
+		if strings.Contains(l, "WalkMemo:") {
+			lines = append(lines, l)
+		}
+	}
+	if len(lines) != 1 {
+		t.Fatalf("want one WalkMemo line, got %d:\n%s", len(lines), stdout.String())
+	}
+	var hits, misses, fills, entries uint64
+	if _, err := fmt.Sscanf(strings.TrimSpace(lines[0]), "WalkMemo: hits=%d misses=%d fills=%d entries=%d", &hits, &misses, &fills, &entries); err != nil {
+		t.Fatalf("unparseable memo line %q: %v", lines[0], err)
+	}
+	if fills == 0 || misses < fills || hits == 0 || entries != iommu.DefaultMemoEntries {
+		t.Errorf("implausible memo counters in %q", lines[0])
+	}
+	if !strings.Contains(lines[0], "not modeled hardware") {
+		t.Errorf("memo line lacks its host-speed label: %q", lines[0])
 	}
 }
 

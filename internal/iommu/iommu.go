@@ -34,11 +34,12 @@ type Config struct {
 	// host address of the guest L2 table.
 	L3PWC tlb.Config
 	// MemoEntries sizes the epoch-validated walk-memoization table that
-	// short-circuits repeated identical nested walks (a simulator
-	// optimization, not modeled hardware — replays charge exactly the
-	// accesses the real walk would have performed, so results are
-	// byte-identical either way). 0 selects DefaultMemoEntries; negative
-	// disables memoization; other values round up to a power of two.
+	// short-circuits repeated identical nested walks of one page table
+	// (a simulator optimization, not modeled hardware — replays charge
+	// exactly the accesses the real walk would have performed, so
+	// results are byte-identical either way). 0 selects
+	// DefaultMemoEntries; negative disables memoization; other values
+	// round up to a power of two.
 	MemoEntries int
 }
 
@@ -188,13 +189,14 @@ func (u *IOMMU) Translate(sid mem.SID, iova uint64, pageShift uint8, recordHisto
 	}
 
 	// Every walk resolves through a memo entry: an epoch-valid stored
-	// one proves the tenant's tables are unchanged since its walk, and a
-	// miss derives one from a silent full walk (storing it when the walk
-	// succeeds). Either way the modeled walk is replayed from the entry —
-	// exactly the accesses of the chosen resume depth are charged, and
-	// the caches install from its table addresses — so the simulated
-	// tables are read once per miss and never re-walked for installs.
-	ent := u.memo.lookup(sid, iova>>mem.PageShift, nt)
+	// one proves the table is unchanged since its walk (by this SID or
+	// any other sharing the table), and a miss derives one from a
+	// silent full walk (storing it when the walk succeeds). Either way
+	// the modeled walk is replayed from the entry — exactly the accesses
+	// of the chosen resume depth are charged, and the caches install
+	// from its table addresses — so the simulated tables are read once
+	// per miss and never re-walked for installs.
+	ent := u.memo.lookup(nt, iova>>mem.PageShift)
 	var walkErr error
 	if ent == nil {
 		walk, err := nt.SilentWalkInto(iova, u.walkBuf[:0])
@@ -204,7 +206,7 @@ func (u *IOMMU) Translate(sid mem.SID, iova uint64, pageShift uint8, recordHisto
 		if err != nil {
 			walkErr = fmt.Errorf("iommu: walking %#x for SID %d: %w", iova, sid, err)
 		} else {
-			u.memo.store(sid, iova, nt, ent)
+			u.memo.store(nt, iova, ent)
 		}
 	}
 	n, ok := ent.resume(startLevel)
@@ -261,7 +263,6 @@ func (u *IOMMU) Invalidate(sid mem.SID, iova uint64, pageShift uint8) {
 	if pageShift == mem.PageShift {
 		u.l2pwc.Invalidate(granuleKey(sid, iova, mem.HugePageShift))
 	}
-	u.memo.bumpSID(sid)
 	u.history.Drop(sid, iova, pageShift)
 }
 
@@ -276,7 +277,6 @@ func (u *IOMMU) InvalidateSID(sid mem.SID) int {
 	}
 	n += u.l2pwc.InvalidateSID(uint32(sid))
 	n += u.l3pwc.InvalidateSID(uint32(sid))
-	u.memo.bumpSID(sid)
 	u.history.DropSID(sid)
 	return n
 }
@@ -291,7 +291,6 @@ func (u *IOMMU) FlushAll() int {
 	}
 	n += u.l2pwc.Flush()
 	n += u.l3pwc.Flush()
-	u.memo.bumpGlobal()
 	return n
 }
 

@@ -5,36 +5,35 @@ import (
 )
 
 // DefaultMemoEntries is the walk-memoization capacity used when
-// Config.MemoEntries is zero: 16 K direct-mapped entries, ~1.5 MB of
-// fixed storage per chipset.
+// Config.MemoEntries is zero: 16 K direct-mapped 64-byte entries, 1 MB
+// of fixed storage per chipset.
 const DefaultMemoEntries = 1 << 14
 
-// memoEntry is one cached nested-walk outcome for a (SID, gIOVA 4 KB
-// page) pair. The entry stores everything a replay needs — the 4 KB-
-// granular host translation, the access counts of the full walk and of
-// the two page-walk-cache resume points, and the host addresses of the
-// guest L1/L2 tables that the page-walk-cache installs record. Validity is epoch-checked, never scanned: a stored
-// snapshot of the tenant's table epoch, the per-SID invalidation epoch
-// and the global flush epoch must all still match.
+// memoEntry is one cached nested-walk outcome for a (table, 4 KB page)
+// pair. The entry stores everything a replay needs — the 4 KB-granular
+// host translation, the access counts of the full walk and of the two
+// page-walk-cache resume points, and the host addresses of the guest
+// L1/L2 tables that the page-walk-cache installs record. All of it is a
+// pure function of the table's contents and the page, so SIDs that share
+// one NestedTable share its entries, and validity is one compare: the
+// stored snapshot of the table's epoch must still match.
 //
 // Fields are ordered so the struct packs into 64 bytes, one cache line:
 // a lookup is one memory access into a table far larger than L1.
 type memoEntry struct {
-	sid      mem.SID
-	sidEpoch uint32
-	page     uint64 // gIOVA >> mem.PageShift
+	table *mem.NestedTable // exact tag; nil marks an empty slot
+	page  uint64           // gIOVA >> mem.PageShift
 
 	tableEpoch uint64
 	hpa4k      uint64 // host translation of the key's 4 KB page (low 12 bits clear)
 	tbl1, tbl2 mem.Addr
 
-	globalEpoch uint32
-	total       uint16 // accesses of the full two-dimensional walk
-	suf1        uint16 // accesses when resuming at guest L1 (L2-PWC hit)
-	suf2        uint16 // accesses when resuming at guest L2 (L3-PWC hit)
-	tbl1OK      bool
-	tbl2OK      bool
-	valid       bool
+	total  uint16 // accesses of the full two-dimensional walk
+	suf1   uint16 // accesses when resuming at guest L1 (L2-PWC hit)
+	suf2   uint16 // accesses when resuming at guest L2 (L3-PWC hit)
+	tbl1OK bool
+	tbl2OK bool
+	_      [8]byte // pad to one cache line
 }
 
 // walkMemo is the epoch-validated walk-memoization table: direct-mapped
@@ -44,17 +43,15 @@ type memoEntry struct {
 // recomputes on its next miss), which keeps behaviour deterministic and
 // memory exactly bounded.
 //
-// Invalidation is O(1) regardless of how many entries a command covers:
-// page and tenant invalidations bump the tenant's epoch counter, global
-// flushes bump the global epoch, and table mutations advance the
-// tenant's NestedTable epoch — stale entries then fail their epoch
-// compare on next touch instead of being searched for eagerly.
+// The only invalidation channel is the table epoch: every mutation of a
+// NestedTable advances it, so stale entries fail their epoch compare on
+// next touch instead of being searched for eagerly. Cache-invalidation
+// commands (page, tenant, global) leave the memo alone — they change
+// what the modeled caches hold, not what a walk of the table returns,
+// and the caches they invalidate are what decide which walk runs.
 type walkMemo struct {
 	entries []memoEntry
 	mask    uint64
-
-	sidEp    []uint32 // per-SID invalidation epochs, dense, grown on demand
-	globalEp uint32
 
 	hits, misses, fills uint64
 }
@@ -76,58 +73,28 @@ func newWalkMemo(entries int) *walkMemo {
 	return &walkMemo{entries: make([]memoEntry, n), mask: uint64(n - 1)}
 }
 
-// memoHash mixes (sid, page) into a table index (splitmix64 finalizer).
-func memoHash(sid mem.SID, page uint64) uint64 {
-	x := page*0x9E3779B97F4A7C15 ^ uint64(sid)*0xBF58476D1CE4E5B9
+// slot returns the direct-mapped entry for (nt, page). The index hashes
+// the table's host root — deterministic across runs, unlike the pointer
+// — with the page (splitmix64 finalizer); the pointer is the exact tag.
+func (m *walkMemo) slot(nt *mem.NestedTable, page uint64) *memoEntry {
+	x := page*0x9E3779B97F4A7C15 ^ uint64(nt.HostRoot())*0xBF58476D1CE4E5B9
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
-	return x
+	return &m.entries[x&m.mask]
 }
 
-func (m *walkMemo) sidEpoch(sid mem.SID) uint32 {
-	if int(sid) < len(m.sidEp) {
-		return m.sidEp[sid]
-	}
-	return 0
-}
-
-// bumpSID advances one tenant's invalidation epoch, logically dropping
-// every memoized walk for that SID in O(1).
-func (m *walkMemo) bumpSID(sid mem.SID) {
-	if m == nil {
-		return
-	}
-	for int(sid) >= len(m.sidEp) {
-		m.sidEp = append(m.sidEp, 0)
-	}
-	m.sidEp[sid]++
-}
-
-// bumpGlobal logically drops every memoized walk (global flush).
-func (m *walkMemo) bumpGlobal() {
-	if m == nil {
-		return
-	}
-	m.globalEp++
-}
-
-// lookup returns the live entry for (sid, page), revalidating its epochs
-// against the tenant's current table state, or nil on a miss. A stale
-// entry is marked invalid so the slot refills.
-func (m *walkMemo) lookup(sid mem.SID, page uint64, nt *mem.NestedTable) *memoEntry {
+// lookup returns the live entry for (nt, page), or nil on a miss: an
+// empty slot, another key's entry, or an entry older than the table's
+// latest mutation.
+func (m *walkMemo) lookup(nt *mem.NestedTable, page uint64) *memoEntry {
 	if m == nil {
 		return nil
 	}
-	ent := &m.entries[memoHash(sid, page)&m.mask]
-	if !ent.valid || ent.sid != sid || ent.page != page {
-		m.misses++
-		return nil
-	}
-	if ent.tableEpoch != nt.Epoch() || ent.sidEpoch != m.sidEpoch(sid) || ent.globalEpoch != m.globalEp {
-		ent.valid = false
+	ent := m.slot(nt, page)
+	if ent.table != nt || ent.page != page || ent.tableEpoch != nt.Epoch() {
 		m.misses++
 		return nil
 	}
@@ -178,21 +145,19 @@ func (ent *memoEntry) resume(startLevel int) (int, bool) {
 	return int(ent.total), true
 }
 
-// store memoizes a successful walk's derived entry for (sid, iova's 4 KB
-// page) under the tenant's current epochs, overwriting the slot.
-func (m *walkMemo) store(sid mem.SID, iova uint64, nt *mem.NestedTable, ent *memoEntry) {
+// store memoizes a successful walk's derived entry for (nt, iova's 4 KB
+// page) under the table's current epoch, overwriting the slot.
+func (m *walkMemo) store(nt *mem.NestedTable, iova uint64, ent *memoEntry) {
 	if m == nil {
 		return
 	}
-	slot := &m.entries[memoHash(sid, iova>>mem.PageShift)&m.mask]
+	page := iova >> mem.PageShift
+	slot := m.slot(nt, page)
 	m.fills++
 	*slot = *ent
-	slot.sid = sid
-	slot.page = iova >> mem.PageShift
+	slot.table = nt
+	slot.page = page
 	slot.tableEpoch = nt.Epoch()
-	slot.sidEpoch = m.sidEpoch(sid)
-	slot.globalEpoch = m.globalEp
-	slot.valid = true
 }
 
 // MemoStats reports the walk-memoization counters. They are intentionally

@@ -9,8 +9,27 @@ import (
 	"hypertrio/internal/workload"
 )
 
+// buildSharedTenants builds nTables tenant address spaces (SIDs
+// 1..nTables) and registers SIDs nTables+1..nSIDs on those same tables
+// round-robin, the way core registers one template table per ring-slot
+// class for every tenant of the class. It returns one address space per
+// SID (index sid-1); an aliasing SID's entry is its table's layout under
+// its own SID.
+func buildSharedTenants(t *testing.T, nTables, nSIDs int, kind workload.Kind) (*mem.ContextTable, *mem.TenantTables, []*workload.AddressSpace) {
+	t.Helper()
+	ct, tenants, spaces := buildTenants(t, nTables, kind)
+	for i := nTables + 1; i <= nSIDs; i++ {
+		as := *spaces[(i-1)%nTables]
+		as.SID = mem.SID(i)
+		tenants.Set(as.SID, as.Nested)
+		ct.Set(as.SID, mem.ContextEntry{DID: uint32(as.SID), GuestRoot: as.Nested.GuestRoot(), HostRoot: as.Nested.HostRoot()})
+		spaces = append(spaces, &as)
+	}
+	return ct, tenants, spaces
+}
+
 // driveMemoDifferential builds two identical worlds — one IOMMU with
-// walk memoization at its default size, one with it disabled — and
+// walk memoization of the given size, one with it disabled — and
 // drives both through the same randomized interleaving of translations,
 // mid-flight remaps, page/tenant invalidations, driver unmaps and global
 // flushes. Every translation must return an identical Result (HPA,
@@ -19,30 +38,39 @@ import (
 // match field for field: memoization is an engine optimization, not a
 // modeled structure, so it may never change a single observable number.
 //
+// Half the SIDs alias another SID's NestedTable, as core's template
+// tables do, so memo entries filled by one SID are replayed for another
+// and a table mutation through one SID must be seen by all of them.
+//
 // A third, IOMMU-less world is the reference for the walk itself: every
 // translation that reaches the walker is recomputed there the direct way
 // — WalkInto for a full walk, TableHPA + WalkFromInto for a PWC-resumed
 // one — and must match in HPA, walk accesses, error disposition and
 // host-memory reads. That pins the replayed suffix to the modeled walk
 // and proves the silent walk behind every memo miss charges nothing.
-func driveMemoDifferential(t *testing.T, iotlbSets int, seed int64) {
+func driveMemoDifferential(t *testing.T, iotlbSets, memoEntries int, seed int64) {
 	t.Helper()
-	const nTenants = 3
+	const nTables, nSIDs = 3, 6
 
-	ctM, tenantsM, spacesM := buildTenants(t, nTenants, workload.Mediastream)
-	uM := New(testConfig(iotlbSets), ctM, tenantsM)
+	ctM, tenantsM, spacesM := buildSharedTenants(t, nTables, nSIDs, workload.Mediastream)
+	cfgM := testConfig(iotlbSets)
+	cfgM.MemoEntries = memoEntries
+	uM := New(cfgM, ctM, tenantsM)
 
-	ctU, tenantsU, spacesU := buildTenants(t, nTenants, workload.Mediastream)
+	ctU, tenantsU, spacesU := buildSharedTenants(t, nTables, nSIDs, workload.Mediastream)
 	cfgU := testConfig(iotlbSets)
 	cfgU.MemoEntries = -1
 	uU := New(cfgU, ctU, tenantsU)
 
-	_, _, spacesR := buildTenants(t, nTenants, workload.Mediastream)
+	_, _, spacesR := buildSharedTenants(t, nTables, nSIDs, workload.Mediastream)
 	hostM := spacesM[0].Nested.Host().Space()
 	hostU := spacesU[0].Nested.Host().Space()
 	hostR := spacesR[0].Nested.Host().Space()
 	worlds := [][]*workload.AddressSpace{spacesM, spacesU, spacesR}
-	var resumed, fullWalks int
+	var resumed, fullWalks, crossHits int
+	// translated records the (SID, 4 KB page) pairs each SID has walked;
+	// a memo hit on a pair's first walk replays another SID's fill.
+	translated := map[[2]uint64]bool{}
 
 	rng := rand.New(rand.NewSource(seed))
 
@@ -83,6 +111,7 @@ func driveMemoDifferential(t *testing.T, iotlbSets int, seed int64) {
 
 	translate := func(sid mem.SID, iova uint64, shift uint8, op int) {
 		readsM, readsU := hostM.Reads(), hostU.Reads()
+		memoBefore := uM.MemoStats()
 		rM, errM := uM.Translate(sid, iova, shift, true)
 		rU, errU := uU.Translate(sid, iova, shift, true)
 		readsM, readsU = hostM.Reads()-readsM, hostU.Reads()-readsU
@@ -98,6 +127,11 @@ func driveMemoDifferential(t *testing.T, iotlbSets int, seed int64) {
 		if rM.IOTLBHit {
 			return // answered before the walker
 		}
+		pair := [2]uint64{uint64(sid), iova >> mem.PageShift}
+		if !translated[pair] && uM.MemoStats().Hits > memoBefore.Hits {
+			crossHits++
+		}
+		translated[pair] = true
 		if rM.PWCLevel != 0 {
 			resumed++
 		} else {
@@ -125,7 +159,7 @@ func driveMemoDifferential(t *testing.T, iotlbSets int, seed int64) {
 
 	const ops = 4000
 	for op := 0; op < ops; op++ {
-		k := rng.Intn(nTenants)
+		k := rng.Intn(nSIDs)
 		asM, asU := spacesM[k], spacesU[k]
 		switch r := rng.Intn(20); {
 		case r < 14: // translate
@@ -193,13 +227,11 @@ func driveMemoDifferential(t *testing.T, iotlbSets int, seed int64) {
 	if !ms.Enabled || ms.Fills == 0 {
 		t.Fatalf("memoized run never exercised the memo: %+v", ms)
 	}
-	if iotlbSets == 0 && ms.Hits == 0 {
-		// Without an IOTLB every repeat translation reaches the memo, so a
-		// hit-free run means the epochs never validated anything. (With an
-		// IOTLB in front, repeat walks of one page mostly follow an
-		// invalidation — which bumps the epoch — so hits are legitimately
-		// scarce there.)
-		t.Fatalf("IOTLB-less memoized run never hit the memo: %+v", ms)
+	if ms.Hits == 0 || crossHits == 0 {
+		// Every repeat walk of an unmutated table page is a memo hit,
+		// whichever SID walks it and whatever invalidations came between,
+		// and the aliasing SIDs walk pages their table-mates filled.
+		t.Fatalf("memoized run saw %d cross-SID hits: %+v", crossHits, ms)
 	}
 	if uU.MemoStats().Enabled {
 		t.Fatal("MemoEntries=-1 did not disable memoization")
@@ -210,66 +242,92 @@ func driveMemoDifferential(t *testing.T, iotlbSets int, seed int64) {
 // translation reaches the walk path and the memo is consulted (and must
 // revalidate) on each one.
 func TestMemoMatchesUncachedUnderMutation(t *testing.T) {
-	driveMemoDifferential(t, 0, 1)
+	driveMemoDifferential(t, 0, 0, 1)
 }
 
 // TestMemoMatchesUncachedWithIOTLB: with an IOTLB in front the memo only
 // sees that cache's misses, and invalidations must keep all three layers
 // (IOTLB, PWCs, memo) mutually coherent.
 func TestMemoMatchesUncachedWithIOTLB(t *testing.T) {
-	driveMemoDifferential(t, 8, 2)
+	driveMemoDifferential(t, 8, 0, 2)
 }
 
-// TestMemoEpochInvalidation pins the three invalidation channels one by
-// one: a table mutation (epoch), a per-SID invalidation and a global
-// flush must each kill a memoized walk, while an unrelated tenant's
-// mutation must not.
-func TestMemoEpochInvalidation(t *testing.T) {
-	ct, tenants, spaces := buildTenants(t, 2, workload.Mediastream)
-	u := New(testConfig(0), ct, tenants) // no IOTLB: every translate consults the memo
-	a, b := spaces[0], spaces[1]
+// TestMemoMatchesUncachedTinyMemo: a 4-entry memo makes every slot a
+// collision between tables and pages, so a replay is only right if the
+// exact (table, page) tag rejects the other keys' entries.
+func TestMemoMatchesUncachedTinyMemo(t *testing.T) {
+	driveMemoDifferential(t, 0, 4, 3)
+}
 
-	warm := func(as *workload.AddressSpace) MemoStats {
+// TestMemoEpochInvalidation pins the memo's one validity channel, the
+// table epoch: SIDs sharing a NestedTable share its entries, a mutation
+// of the table misses for every SID on it, an unrelated table's mutation
+// misses for none, and cache-invalidation commands (page, tenant,
+// global) leave entries valid while the next translation still charges
+// the walk that the emptied caches imply.
+func TestMemoEpochInvalidation(t *testing.T) {
+	// SIDs 1 and 3 share table A, SID 2 owns table B.
+	ct, tenants, spaces := buildSharedTenants(t, 2, 3, workload.Mediastream)
+	u := New(testConfig(0), ct, tenants) // no IOTLB: every translate consults the memo
+	a1, b, a2 := spaces[0], spaces[1], spaces[2]
+	if a1.Nested != a2.Nested || a1.Nested == b.Nested {
+		t.Fatal("test setup: SIDs 1 and 3 must share a table, SID 2 must not")
+	}
+
+	// expect translates as's ring page, requires a memo hit or miss, and
+	// returns the result.
+	expect := func(as *workload.AddressSpace, what string, hit bool) Result {
 		t.Helper()
-		if _, err := u.Translate(as.SID, as.Ring, mem.PageShift, true); err != nil {
+		before := u.MemoStats()
+		res, err := u.Translate(as.SID, as.Ring, mem.PageShift, true)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return u.MemoStats()
-	}
-	// refill restores a fresh, valid memo entry for as.Ring: the flush
-	// empties the PWCs, so the next translate is a full walk, which
-	// misses the memo (the flush bumped the global epoch) and fills it.
-	refill := func(as *workload.AddressSpace) {
-		t.Helper()
-		u.FlushAll()
-		before := u.MemoStats()
-		after := warm(as)
-		if after.Fills != before.Fills+1 {
-			t.Fatalf("full walk after flush did not refill: %+v -> %+v", before, after)
-		}
-	}
-	expect := func(as *workload.AddressSpace, what string, hit bool) {
-		t.Helper()
-		before := u.MemoStats()
-		after := warm(as)
+		after := u.MemoStats()
 		if hit && after.Hits != before.Hits+1 {
 			t.Fatalf("%s: expected a memo hit: %+v -> %+v", what, before, after)
 		}
 		if !hit && after.Misses != before.Misses+1 {
 			t.Fatalf("%s: expected a memo miss: %+v -> %+v", what, before, after)
 		}
+		return res
+	}
+	// walkCost is the reference length of the ring walk at a PWC level.
+	walkCost := func(as *workload.AddressSpace, pwcLevel int) int {
+		t.Helper()
+		var walk mem.NestedResult
+		var err error
+		if pwcLevel == 0 {
+			walk, err = as.Nested.WalkInto(as.Ring, nil)
+		} else {
+			var tbl mem.Addr
+			if tbl, err = as.Nested.TableHPA(as.Ring, pwcLevel-1); err == nil {
+				walk, err = as.Nested.WalkFromInto(as.Ring, pwcLevel-1, tbl, nil)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(walk.Accesses)
 	}
 
-	warm(a) // first full walk fills
-	expect(a, "steady state", true)
-	expect(a, "steady state", true)
+	cold := expect(a1, "first walk", false)
+	expect(a1, "steady state", true)
+
+	// A second SID on the same table replays the first SID's entry, yet
+	// pays its own cold context read and full walk: its PWC granules
+	// are keyed by SID and still empty.
+	if got := expect(a2, "second SID on the shared table", true); got != cold {
+		t.Fatalf("second SID's first walk = %+v, first SID's = %+v", got, cold)
+	}
+	expect(b, "other table's first walk", false)
 
 	// A PWC-resumed walk of a fresh page fills the memo too: the ring
 	// walk installed the walk caches for its granules, so the mailbox
 	// page resumes from one, misses the memo, and fills it from a silent
 	// full walk; its next translation replays from the memo.
 	before := u.MemoStats()
-	res, err := u.Translate(a.SID, a.Mailbox, mem.PageShift, true)
+	res, err := u.Translate(a1.SID, a1.Mailbox, mem.PageShift, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,42 +338,76 @@ func TestMemoEpochInvalidation(t *testing.T) {
 		t.Fatalf("resumed walk of a fresh page did not fill: %+v -> %+v", before, after)
 	}
 	before = u.MemoStats()
-	if again, err := u.Translate(a.SID, a.Mailbox, mem.PageShift, true); err != nil || again != res {
+	if again, err := u.Translate(a1.SID, a1.Mailbox, mem.PageShift, true); err != nil || again != res {
 		t.Fatalf("memoized resumed walk = %+v, %v; first walk %+v", again, err, res)
 	}
 	if after := u.MemoStats(); after.Hits != before.Hits+1 {
 		t.Fatalf("resumed walk's memo entry did not hit: %+v -> %+v", before, after)
 	}
 
-	// Channel 1: a table mutation anywhere in tenant A's tables (a map of
-	// an otherwise-unused gIOVA region) advances A's table epoch.
-	if _, _, err := a.Nested.MapIOVA(0x1000_0000, mem.PageShift); err != nil {
-		t.Fatal(err)
+	// Invalidation commands empty caches, not the memo. Each next walk
+	// hits the memo and charges exactly what the surviving caches imply.
+	u.Invalidate(a1.SID, a1.Ring, mem.PageShift) // drops the ring's L2-PWC granule
+	if r := expect(a1, "after Invalidate", true); r.PWCLevel != 3 || r.MemAccesses != walkCost(a1, 3) {
+		t.Fatalf("after Invalidate: %+v, want an L3-resumed walk of %d accesses", r, walkCost(a1, 3))
 	}
-	expect(a, "table mutation", false)
-
-	// An unrelated tenant's mutation must NOT invalidate A's entry.
-	refill(a)
-	if _, _, err := b.Nested.MapIOVA(0x1000_0000, mem.PageShift); err != nil {
-		t.Fatal(err)
+	u.InvalidateSID(a1.SID)
+	full := mem.ContextReadAccesses + walkCost(a1, 0)
+	if r := expect(a1, "after InvalidateSID", true); r.CCHit || r.PWCLevel != 0 || r.MemAccesses != full {
+		t.Fatalf("after InvalidateSID: %+v, want a cold full walk of %d accesses", r, full)
 	}
-	expect(a, "unrelated tenant's mutation", true)
-
-	// Channel 2: per-SID invalidation.
-	u.InvalidateSID(a.SID)
-	expect(a, "InvalidateSID", false)
-
-	// ...which must not have touched tenant B either.
-	refill(b)
-	u.InvalidateSID(a.SID)
-	expect(b, "other tenant's InvalidateSID", true)
-
-	// Channel 3: a global flush kills every tenant's entries.
-	refill(a)
-	refill(b)
 	u.FlushAll()
-	expect(a, "FlushAll (tenant A)", false)
-	expect(b, "FlushAll (tenant B)", false)
+	for _, as := range []*workload.AddressSpace{a1, a2, b} {
+		if r := expect(as, "after FlushAll", true); r.CCHit || r.PWCLevel != 0 || r.MemAccesses != full {
+			t.Fatalf("SID %d after FlushAll: %+v, want a cold full walk of %d accesses", as.SID, r, full)
+		}
+	}
+
+	// A mutation anywhere in table A (a map of an otherwise-unused gIOVA
+	// region) advances its epoch: the next walk through it misses for
+	// either SID on it, while table B's entry stays live.
+	for _, as := range []*workload.AddressSpace{a1, a2} {
+		if _, _, err := as.Nested.MapIOVA(0x1000_0000+uint64(as.SID)<<mem.HugePageShift, mem.PageShift); err != nil {
+			t.Fatal(err)
+		}
+		expect(as, "shared table mutation", false)
+	}
+	expect(b, "other table's entry after table A's mutation", true)
+	expect(a2, "refilled shared entry", true)
+}
+
+// TestMemoTagsTablePointer: two tables built from one layout have equal
+// epochs and equal pages, so only the table pointer tells their entries
+// apart — in a one-entry memo, where every key shares the slot.
+func TestMemoTagsTablePointer(t *testing.T) {
+	host := mem.NewSpace("host", 0x1_0000_0000, 0)
+	var tables [2]*workload.AddressSpace
+	for i := range tables {
+		as, err := workload.BuildAddressSpace(workload.ProfileFor(workload.Mediastream), 1, host, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables[i] = as
+	}
+	a, b := tables[0].Nested, tables[1].Nested
+	if a.Epoch() != b.Epoch() {
+		t.Fatalf("test setup: epochs %d and %d differ", a.Epoch(), b.Epoch())
+	}
+	iova := tables[0].Ring
+	walk, err := a.WalkInto(iova, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newWalkMemo(1)
+	var ent memoEntry
+	ent.derive(iova, walk.Accesses, walk.HPA)
+	m.store(a, iova, &ent)
+	if got := m.lookup(b, iova>>mem.PageShift); got != nil {
+		t.Fatalf("table B replayed table A's entry: %+v", *got)
+	}
+	if got := m.lookup(a, iova>>mem.PageShift); got == nil || got.hpa4k != walk.HPA&^(mem.PageSize-1) {
+		t.Fatalf("table A's own entry = %v, want its walk to %#x", got, walk.HPA)
+	}
 }
 
 // TestMemoEntryFitsCacheLine pins the entry layout at 64 bytes: the memo

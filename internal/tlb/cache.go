@@ -117,15 +117,6 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Lookups)
 }
 
-// slot is one way of one set.
-type slot struct {
-	valid    bool
-	entry    Entry
-	lastUse  uint64 // tick of last hit or insertion
-	inserted uint64 // tick of insertion
-	freq     uint8  // LFU 4-bit access counter
-}
-
 // lfuMax is the saturation value of the 4-bit LFU counter; when any
 // counter in a row reaches it, all counters in the row are halved
 // (the aging scheme the paper adopts from RRIP-style designs).
@@ -133,11 +124,31 @@ const lfuMax = 15
 
 // Cache is a single-level translation cache. It is not safe for
 // concurrent use; the simulation is single-threaded.
+//
+// The ways are stored as parallel arrays indexed by set*ways+way, so a
+// set scan compares only the key words it walks past (each carrying its
+// way's valid bit), and the value and the replacement metadata a policy
+// reads (lastUse, inserted, freq) sit in arrays of their own, touched
+// only on a hit, a fill or a victim search.
 type Cache struct {
 	cfg    Config
-	sets   [][]slot
+	ways   int
 	tick   uint64
 	future *Future
+
+	keys     []wayKey
+	value    []uint64
+	shift    []uint8  // page-size class of each way's entry
+	lastUse  []uint64 // tick of last hit or insertion
+	inserted []uint64 // tick of insertion
+	freq     []uint8  // LFU 4-bit access counter
+	used     []int32  // valid ways per set
+
+	// absent is a key the latest missing Lookup proved uncached. Only
+	// inserting it can make it present, so while absentOK holds, the
+	// fill that follows a miss skips the key scan.
+	absent   Key
+	absentOK bool
 
 	// Policy values resolved from the configuration: how a key picks its
 	// set (partitioning) and how a full set picks its victim
@@ -161,12 +172,20 @@ func New(cfg Config) *Cache {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	c := &Cache{cfg: cfg, sets: make([][]slot, cfg.Sets)}
-	for i := range c.sets {
-		c.sets[i] = make([]slot, cfg.Ways)
+	n := cfg.Entries()
+	c := &Cache{
+		cfg:      cfg,
+		ways:     cfg.Ways,
+		keys:     make([]wayKey, n),
+		value:    make([]uint64, n),
+		shift:    make([]uint8, n),
+		lastUse:  make([]uint64, n),
+		inserted: make([]uint64, n),
+		freq:     make([]uint8, n),
+		used:     make([]int32, cfg.Sets),
 	}
 	c.index = newIndexFunc(cfg.Index)
-	c.repl = newReplacer(cfg, c)
+	c.repl = newReplacer(cfg)
 	return c
 }
 
@@ -214,96 +233,146 @@ func (c *Cache) SetFuture(f *Future) { c.future = f }
 
 func (c *Cache) setIndex(k Key) int { return c.index(k, c.cfg.Sets) }
 
+// wayKey is a way's key word: the entry's key with the way's valid bit
+// set above the SID, so two 64-bit compares match key and validity
+// together.
+type wayKey struct {
+	id  uint64 // SID in the low 32 bits, wayValid above it
+	tag uint64
+}
+
+const wayValid = 1 << 32
+
+func validKey(k Key) wayKey { return wayKey{id: uint64(k.SID) | wayValid, tag: k.Tag} }
+
+func (k wayKey) valid() bool { return k.id&wayValid != 0 }
+
+func (k wayKey) key() Key { return Key{SID: uint32(k.id), Tag: k.tag} }
+
+// find returns the array index of key's valid way in the set starting
+// at base, or -1.
+func (c *Cache) find(base int, key Key) int {
+	want := validKey(key)
+	keys := c.keys[base : base+c.ways]
+	for w := range keys {
+		if keys[w] == want {
+			return base + w
+		}
+	}
+	return -1
+}
+
+func (c *Cache) entry(i int) Entry {
+	return Entry{Key: c.keys[i].key(), Value: c.value[i], PageShift: c.shift[i]}
+}
+
 // Lookup searches for key. On a hit it updates replacement metadata and
 // returns the entry. Every access that the oracle should know about must
 // go through Lookup.
 func (c *Cache) Lookup(key Key) (Entry, bool) {
 	c.tick++
 	c.lookups.Inc()
-	c.repl.onLookup(key)
+	c.repl.onLookup(c, key)
 	si := c.setIndex(key)
-	set := c.sets[si]
-	for i := range set {
-		s := &set[i]
-		if s.valid && s.entry.Key == key {
-			c.hits.Inc()
-			s.lastUse = c.tick
-			if s.freq < lfuMax {
-				s.freq++
-			}
-			c.repl.onHit(si, set, i)
-			return s.entry, true
-		}
+	base := si * c.ways
+	i := c.find(base, key)
+	if i < 0 {
+		c.misses.Inc()
+		c.absent, c.absentOK = key, true
+		return Entry{}, false
 	}
-	c.misses.Inc()
-	return Entry{}, false
+	c.hits.Inc()
+	c.lastUse[i] = c.tick
+	if c.freq[i] < lfuMax {
+		c.freq[i]++
+	}
+	c.repl.onHit(c, si, i-base)
+	return c.entry(i), true
 }
 
 // Peek searches without touching statistics or replacement state.
 func (c *Cache) Peek(key Key) (Entry, bool) {
-	set := c.sets[c.setIndex(key)]
-	for i := range set {
-		if set[i].valid && set[i].entry.Key == key {
-			return set[i].entry, true
-		}
+	if i := c.find(c.setIndex(key)*c.ways, key); i >= 0 {
+		return c.entry(i), true
 	}
 	return Entry{}, false
 }
 
 // Insert places an entry, evicting per policy if the set is full.
-// Inserting an already-present key refreshes its value in place.
+// Inserting an already-present key refreshes its value in place. The
+// set is scanned once for the key — not at all when the latest miss
+// was this key — and then, only if the set has a free way, up to the
+// lowest one; a full set asks the replacement policy for its victim.
 func (c *Cache) Insert(e Entry) {
 	c.tick++
 	c.insertions.Inc()
 	si := c.setIndex(e.Key)
-	set := c.sets[si]
-	// Refresh in place if present.
-	for i := range set {
-		if set[i].valid && set[i].entry.Key == e.Key {
-			set[i].entry = e
-			set[i].lastUse = c.tick
-			c.repl.onInsert(si, set, i)
-			return
+	base := si * c.ways
+	want := validKey(e.Key)
+	keys := c.keys[base : base+c.ways]
+	if !c.absentOK || c.absent != e.Key {
+		for w := range keys {
+			if keys[w] == want {
+				// Refresh in place: new value, recency, nothing else.
+				c.value[base+w] = e.Value
+				c.shift[base+w] = e.PageShift
+				c.lastUse[base+w] = c.tick
+				c.repl.onInsert(c, si, w)
+				return
+			}
 		}
 	}
-	// Free slot?
-	for i := range set {
-		if !set[i].valid {
-			set[i] = slot{valid: true, entry: e, lastUse: c.tick, inserted: c.tick, freq: 1}
-			c.repl.onInsert(si, set, i)
-			return
+	c.absentOK = false
+	var w int
+	if c.used[si] < int32(c.ways) {
+		for keys[w].valid() {
+			w++
 		}
+		c.used[si]++
+	} else {
+		w = c.repl.victim(c, si)
+		c.evictions.Inc()
 	}
-	victim := c.repl.victim(si, set)
-	c.evictions.Inc()
-	set[victim] = slot{valid: true, entry: e, lastUse: c.tick, inserted: c.tick, freq: 1}
-	c.repl.onInsert(si, set, victim)
+	i := base + w
+	c.keys[i] = want
+	c.value[i] = e.Value
+	c.shift[i] = e.PageShift
+	c.lastUse[i] = c.tick
+	c.inserted[i] = c.tick
+	c.freq[i] = 1
+	c.repl.onInsert(c, si, w)
+}
+
+// clearWay empties the valid way at array index i.
+func (c *Cache) clearWay(i int) {
+	c.used[i/c.ways]--
+	c.keys[i] = wayKey{}
+	c.value[i] = 0
+	c.shift[i] = 0
+	c.lastUse[i] = 0
+	c.inserted[i] = 0
+	c.freq[i] = 0
 }
 
 // Invalidate removes the entry for key if present, returning whether it was.
 func (c *Cache) Invalidate(key Key) bool {
-	set := c.sets[c.setIndex(key)]
-	for i := range set {
-		if set[i].valid && set[i].entry.Key == key {
-			set[i] = slot{}
-			c.invalidates.Inc()
-			return true
-		}
+	i := c.find(c.setIndex(key)*c.ways, key)
+	if i < 0 {
+		return false
 	}
-	return false
+	c.clearWay(i)
+	c.invalidates.Inc()
+	return true
 }
 
 // InvalidateSID removes every entry belonging to sid (device detach /
 // domain flush) and returns how many were dropped.
 func (c *Cache) InvalidateSID(sid uint32) int {
 	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			s := &c.sets[si][wi]
-			if s.valid && s.entry.Key.SID == sid {
-				*s = slot{}
-				n++
-			}
+	for i := range c.keys {
+		if c.keys[i].id == uint64(sid)|wayValid {
+			c.clearWay(i)
+			n++
 		}
 	}
 	c.invalidates.Add(uint64(n))
@@ -313,15 +382,14 @@ func (c *Cache) InvalidateSID(sid uint32) int {
 // Flush empties the cache (a broadcast invalidation), counting the
 // dropped entries as invalidates and returning how many there were.
 func (c *Cache) Flush() int {
-	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid {
-				n++
-			}
-			c.sets[si][wi] = slot{}
-		}
-	}
+	n := c.Len()
+	clear(c.keys)
+	clear(c.value)
+	clear(c.shift)
+	clear(c.lastUse)
+	clear(c.inserted)
+	clear(c.freq)
+	clear(c.used)
 	c.invalidates.Add(uint64(n))
 	return n
 }
@@ -329,11 +397,9 @@ func (c *Cache) Flush() int {
 // Len reports the number of valid entries.
 func (c *Cache) Len() int {
 	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid {
-				n++
-			}
+	for _, k := range c.keys {
+		if k.valid() {
+			n++
 		}
 	}
 	return n
@@ -342,11 +408,9 @@ func (c *Cache) Len() int {
 // Entries returns all valid entries (unspecified order); for tests.
 func (c *Cache) Entries() []Entry {
 	out := make([]Entry, 0, c.Len())
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid {
-				out = append(out, c.sets[si][wi].entry)
-			}
+	for i, k := range c.keys {
+		if k.valid() {
+			out = append(out, c.entry(i))
 		}
 	}
 	return out

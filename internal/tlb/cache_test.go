@@ -128,12 +128,11 @@ func TestLFUSaturationHalvesRow(t *testing.T) {
 	for i := 0; i < 14; i++ {
 		c.Lookup(k(1, 1))
 	}
-	set := c.sets[0]
-	if set[0].freq != lfuMax/2 {
-		t.Fatalf("saturated way freq=%d, want %d", set[0].freq, lfuMax/2)
+	if c.freq[0] != lfuMax/2 {
+		t.Fatalf("saturated way freq=%d, want %d", c.freq[0], lfuMax/2)
 	}
-	if set[1].freq != 0 {
-		t.Fatalf("cold way freq=%d, want 0 (halved from 1)", set[1].freq)
+	if c.freq[1] != 0 {
+		t.Fatalf("cold way freq=%d, want 0 (halved from 1)", c.freq[1])
 	}
 }
 

@@ -69,29 +69,29 @@ func ParsePolicy(s string) (PolicyKind, error) {
 }
 
 // replacer is a replacement policy held by the cache as a value. The
-// cache maintains the generic per-slot metadata (lastUse, inserted,
-// freq) on every access; a replacer adds policy-specific bookkeeping via
-// the hooks and picks eviction victims. Adding a policy means adding a
+// cache maintains the generic per-way metadata (lastUse, inserted, freq)
+// on every access; a replacer adds policy-specific bookkeeping via the
+// hooks and picks eviction victims. Hooks receive the cache, the set
+// index si and the way wi, and read only the arrays they need: way wi
+// of set si lives at index si*c.ways+wi. Adding a policy means adding a
 // PolicyKind constant and a case in newReplacer — the cache itself never
 // switches on the policy again.
 type replacer interface {
 	// onLookup observes every demand access, before the set is scanned
 	// (the Belady oracle consumes the access stream here).
-	onLookup(key Key)
+	onLookup(c *Cache, key Key)
 	// onHit runs after the cache refreshed the generic metadata of a
 	// demand hit on way wi of set si.
-	onHit(si int, set []slot, wi int)
+	onHit(c *Cache, si, wi int)
 	// onInsert runs after a fill landed in way wi of set si (a fresh
 	// insertion, an eviction refill, or an in-place refresh).
-	onInsert(si int, set []slot, wi int)
+	onInsert(c *Cache, si, wi int)
 	// victim picks the way to evict; called only on full sets.
-	victim(si int, set []slot) int
+	victim(c *Cache, si int) int
 }
 
 // newReplacer builds the policy value for a validated configuration.
-// The cache pointer lets the oracle reach the future attached later via
-// SetFuture.
-func newReplacer(cfg Config, c *Cache) replacer {
+func newReplacer(cfg Config) replacer {
 	switch cfg.Policy {
 	case LRU:
 		return lruReplacer{}
@@ -102,7 +102,7 @@ func newReplacer(cfg Config, c *Cache) replacer {
 	case Random:
 		return &randomReplacer{rng: rand.New(rand.NewSource(cfg.Seed))}
 	case Oracle:
-		return &oracleReplacer{c: c}
+		return oracleReplacer{}
 	case PLRU:
 		return &plruReplacer{ways: cfg.Ways, bits: make([]uint64, cfg.Sets)}
 	}
@@ -113,40 +113,49 @@ func newReplacer(cfg Config, c *Cache) replacer {
 // what they need.
 type noHooks struct{}
 
-func (noHooks) onLookup(Key)              {}
-func (noHooks) onHit(int, []slot, int)    {}
-func (noHooks) onInsert(int, []slot, int) {}
+func (noHooks) onLookup(*Cache, Key)      {}
+func (noHooks) onHit(*Cache, int, int)    {}
+func (noHooks) onInsert(*Cache, int, int) {}
 
-type lruReplacer struct{ noHooks }
-
-func (lruReplacer) victim(_ int, set []slot) int {
-	best := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].lastUse < set[best].lastUse {
-			best = i
+// minWay returns the way of the first minimum of a set's metadata row.
+func minWay(row []uint64) int {
+	best, min := 0, row[0]
+	for i, v := range row {
+		if v < min {
+			best, min = i, v
 		}
 	}
 	return best
+}
+
+type lruReplacer struct{ noHooks }
+
+func (lruReplacer) victim(c *Cache, si int) int {
+	base := si * c.ways
+	return minWay(c.lastUse[base : base+c.ways])
 }
 
 type lfuReplacer struct{ noHooks }
 
 // onHit ages the row: when a 4-bit counter saturates, every counter in
 // the row is halved (the RRIP-style scheme the paper adopts).
-func (lfuReplacer) onHit(_ int, set []slot, wi int) {
-	if set[wi].freq == lfuMax {
-		for j := range set {
-			set[j].freq /= 2
+func (lfuReplacer) onHit(c *Cache, si, wi int) {
+	base := si * c.ways
+	row := c.freq[base : base+c.ways]
+	if row[wi] == lfuMax {
+		for j := range row {
+			row[j] /= 2
 		}
 	}
 }
 
-func (lfuReplacer) victim(_ int, set []slot) int {
-	best := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].freq < set[best].freq ||
-			(set[i].freq == set[best].freq && set[i].lastUse < set[best].lastUse) {
-			best = i
+func (lfuReplacer) victim(c *Cache, si int) int {
+	base := si * c.ways
+	freq, last := c.freq[base:base+c.ways], c.lastUse[base:base+c.ways]
+	best, bf, bl := 0, freq[0], last[0]
+	for i, f := range freq {
+		if l := last[i]; f < bf || (f == bf && l < bl) {
+			best, bf, bl = i, f, l
 		}
 	}
 	return best
@@ -154,14 +163,9 @@ func (lfuReplacer) victim(_ int, set []slot) int {
 
 type fifoReplacer struct{ noHooks }
 
-func (fifoReplacer) victim(_ int, set []slot) int {
-	best := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].inserted < set[best].inserted {
-			best = i
-		}
-	}
-	return best
+func (fifoReplacer) victim(c *Cache, si int) int {
+	base := si * c.ways
+	return minWay(c.inserted[base : base+c.ways])
 }
 
 type randomReplacer struct {
@@ -169,26 +173,25 @@ type randomReplacer struct {
 	rng *rand.Rand
 }
 
-func (r *randomReplacer) victim(_ int, set []slot) int { return r.rng.Intn(len(set)) }
+func (r *randomReplacer) victim(c *Cache, _ int) int { return r.rng.Intn(c.ways) }
 
-type oracleReplacer struct {
-	noHooks
-	c *Cache
-}
+type oracleReplacer struct{ noHooks }
 
-func (o *oracleReplacer) onLookup(key Key) {
-	if o.c.future != nil {
-		o.c.future.Observe(key)
+func (oracleReplacer) onLookup(c *Cache, key Key) {
+	if c.future != nil {
+		c.future.Observe(key)
 	}
 }
 
-func (o *oracleReplacer) victim(_ int, set []slot) int {
-	if o.c.future == nil {
+func (oracleReplacer) victim(c *Cache, si int) int {
+	if c.future == nil {
 		panic("tlb: oracle cache used without SetFuture")
 	}
-	best, bestNext := 0, o.c.future.Next(set[0].entry.Key)
-	for i := 1; i < len(set); i++ {
-		n := o.c.future.Next(set[i].entry.Key)
+	base := si * c.ways
+	keys := c.keys[base : base+c.ways]
+	best, bestNext := 0, c.future.Next(keys[0].key())
+	for i := 1; i < len(keys); i++ {
+		n := c.future.Next(keys[i].key())
 		if n > bestNext {
 			best, bestNext = i, n
 		}
@@ -206,8 +209,8 @@ type plruReplacer struct {
 	bits []uint64 // one tree per set, heap-ordered, node n at bit n-1
 }
 
-func (p *plruReplacer) onHit(si int, _ []slot, wi int)    { p.touch(si, wi) }
-func (p *plruReplacer) onInsert(si int, _ []slot, wi int) { p.touch(si, wi) }
+func (p *plruReplacer) onHit(_ *Cache, si, wi int)    { p.touch(si, wi) }
+func (p *plruReplacer) onInsert(_ *Cache, si, wi int) { p.touch(si, wi) }
 
 func (p *plruReplacer) touch(si, wi int) {
 	node := 1
@@ -225,7 +228,7 @@ func (p *plruReplacer) touch(si, wi int) {
 	}
 }
 
-func (p *plruReplacer) victim(si int, _ []slot) int {
+func (p *plruReplacer) victim(_ *Cache, si int) int {
 	node, lo := 1, 0
 	for span := p.ways; span > 1; span /= 2 {
 		half := span / 2
