@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -85,7 +86,10 @@ func TestRunErrors(t *testing.T) {
 		{"negative devtlb", func(o *options) { o.devtlbSize = -8 }},
 		{"indivisible devtlb", func(o *options) { o.devtlbSize = 100 }},
 		{"negative sample interval", func(o *options) { o.sampleUs = -1 }},
-		{"negative shards", func(o *options) { o.shards = -2 }},
+		{"NaN link", func(o *options) { o.linkGbps = math.NaN() }},
+		{"infinite link", func(o *options) { o.linkGbps = math.Inf(1) }},
+		{"link too fast for the picosecond clock", func(o *options) { o.linkGbps = 1e20 }},
+		{"link too slow for the picosecond clock", func(o *options) { o.linkGbps = 1e-12 }},
 		{"engine trace without trace file", func(o *options) { o.engineEvents = true }},
 		{"missing replay file", func(o *options) { o.replayFile = "/nonexistent.hsio" }},
 		{"tenants above cap", func(o *options) { o.tenants = 1_000_001; o.stream = true }},
@@ -128,34 +132,6 @@ func TestRunStreamMatchesMaterialized(t *testing.T) {
 	// in both modes and agree between them.
 	if got, want := report(true, true), report(false, true); got != want {
 		t.Errorf("compact-RNG streaming report diverged from materialized:\n--- stream\n%s\n--- trace\n%s", got, want)
-	}
-}
-
-// TestRunShardedMatchesSerial pins the user-visible contract of -shards:
-// apart from the one extra line announcing the execution mode, a sharded
-// run's report is byte-identical to the serial run's.
-func TestRunShardedMatchesSerial(t *testing.T) {
-	var serial strings.Builder
-	if err := run(base(), &serial); err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 8} {
-		o := base()
-		o.shards = shards
-		var sharded strings.Builder
-		if err := run(o, &sharded); err != nil {
-			t.Fatal(err)
-		}
-		got := sharded.String()
-		i := strings.Index(got, "sharded execution:")
-		if i < 0 {
-			t.Fatalf("shards=%d: report does not announce the execution mode:\n%s", shards, got)
-		}
-		j := strings.IndexByte(got[i:], '\n')
-		got = got[:i] + got[i+j+1:]
-		if got != serial.String() {
-			t.Errorf("shards=%d report diverged from serial:\n got %q\nwant %q", shards, got, serial.String())
-		}
 	}
 }
 
@@ -428,6 +404,11 @@ func TestCLIExitCodes(t *testing.T) {
 		{"stray positional argument", []string{"extra"}, 2},
 		{"help", []string{"-h"}, 0},
 		{"unknown design", []string{"-design", "fancy"}, 1},
+		// Non-finite rates fail validation instead of panicking on a
+		// negative gap (NaN) or spinning at t=0 on a zero gap (Inf).
+		{"NaN link", append(small, "-link", "NaN"), 1},
+		{"infinite link", append(small, "-link", "Inf"), 1},
+		{"negative infinite link", append(small, "-link", "-Inf"), 1},
 		{"conflicting trace-engine", []string{"-trace-engine"}, 1},
 		{"conflicting describe+faults", []string{"-describe", "-faults", plan}, 1},
 		{"missing faults file", append(small, "-faults", "/nonexistent/plan.json"), 1},

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"hypertrio/internal/device"
 	"hypertrio/internal/fault"
@@ -44,11 +45,17 @@ func DefaultParams() Params {
 // Interarrival returns the packet inter-arrival gap implied by the
 // offered load.
 func (p Params) Interarrival() sim.Duration {
+	return sim.FromNanos(p.gapNs())
+}
+
+// gapNs is the unrounded inter-arrival gap in nanoseconds at the offered
+// rate (ArrivalGbps, or LinkGbps when that is 0).
+func (p Params) gapNs() float64 {
 	rate := p.ArrivalGbps
 	if rate == 0 {
 		rate = p.LinkGbps
 	}
-	return sim.FromNanos(float64(p.PacketBytes*8) / rate)
+	return float64(p.PacketBytes*8) / rate
 }
 
 func (p Params) validate() error {
@@ -57,10 +64,17 @@ func (p Params) validate() error {
 		return fmt.Errorf("core: latencies must be positive: %+v", p)
 	case p.PacketBytes <= 0:
 		return fmt.Errorf("core: packet size must be positive")
-	case p.LinkGbps <= 0:
-		return fmt.Errorf("core: link rate must be positive")
-	case p.ArrivalGbps < 0 || p.ArrivalGbps > p.LinkGbps:
-		return fmt.Errorf("core: arrival rate must be in (0, link rate]")
+	case !(p.LinkGbps > 0) || math.IsInf(p.LinkGbps, 1):
+		return fmt.Errorf("core: link rate must be positive and finite, got %g Gb/s", p.LinkGbps)
+	case math.IsNaN(p.ArrivalGbps) || p.ArrivalGbps < 0 || p.ArrivalGbps > p.LinkGbps:
+		return fmt.Errorf("core: arrival rate must be 0 (the link rate) or in (0, link rate], got %g Gb/s", p.ArrivalGbps)
+	}
+	// A finite rate can still imply a gap the picosecond clock cannot
+	// hold: under 1 ps the arrival loop never advances time, and past
+	// 2^62 ps the conversion overflows.
+	if ps := p.gapNs() * float64(sim.Nanosecond); !(ps >= 1 && ps <= 1<<62) {
+		return fmt.Errorf("core: link %g Gb/s, arrival %g Gb/s implies a %g ps packet gap, outside [1 ps, 2^62 ps]",
+			p.LinkGbps, p.ArrivalGbps, ps)
 	}
 	return nil
 }
@@ -70,8 +84,8 @@ func (p Params) validate() error {
 // microbursts, ramps) use to make offered load time-varying without
 // touching the generators. Implementations must be deterministic pure
 // functions of their inputs: the same (base, now) pair always yields
-// the same gap, which is what keeps shaped runs byte-identical across
-// serial, sharded and streaming execution.
+// the same gap, which is what keeps shaped runs byte-identical between
+// materialized and streaming execution.
 type ArrivalShaper interface {
 	// Gap returns the gap between the current link slot and the next,
 	// given the nominal (full-load) gap and the current simulated time.
@@ -125,18 +139,6 @@ type Config struct {
 	// paper's GPU-related work discusses (§VI) but its model leaves open.
 	IOMMUWalkers int
 
-	// Shards splits the single run across event domains executed by the
-	// sharded coordinator (internal/sim.ShardedEngine): 0 or 1 keeps the
-	// classic single-engine simulation; 2 or more moves the chipset's
-	// IOMMU/walker work into its own domain, with the device side in
-	// another, synchronized by conservative PCIe lookahead. The model has
-	// one device-side link, so shard counts above 2 clamp to the two
-	// domains that exist. Runs needing instantaneous cross-domain
-	// coupling (driver unmaps in the trace, prefetching, fault plans,
-	// observability) execute the domains in lockstep instead of in
-	// parallel. Results are byte-identical to serial for every value.
-	Shards int
-
 	// Obs attaches the observability layer (internal/obs): model-level
 	// event tracing, optional engine-kernel probing, and periodic
 	// time-series sampling. Nil turns everything off; observability only
@@ -162,9 +164,6 @@ type Config struct {
 func (c Config) Validate() error {
 	if err := c.Params.validate(); err != nil {
 		return err
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: Shards must be non-negative, got %d", c.Shards)
 	}
 	if c.TranslationOff {
 		return nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -105,6 +106,42 @@ func TestConfigValidation(t *testing.T) {
 	bad.Params.ArrivalGbps = 300
 	if err := bad.Validate(); err == nil {
 		t.Error("arrival above link accepted")
+	}
+}
+
+// TestParamsRejectNonFiniteRates: rates whose packet gap the picosecond
+// clock cannot hold fail validation. Accepted, a NaN link rate gives a
+// -2^63 ps gap (a negative-delay panic) and +Inf a 0 ps gap (an arrival
+// loop spinning at t=0).
+func TestParamsRejectNonFiniteRates(t *testing.T) {
+	cases := []struct {
+		name        string
+		link, arriv float64
+		ok          bool
+	}{
+		{"default link, arrival at link rate", 200, 0, true},
+		{"arrival below link", 200, 20, true},
+		{"NaN link", math.NaN(), 0, false},
+		{"+Inf link", math.Inf(1), 0, false},
+		{"-Inf link", math.Inf(-1), 0, false},
+		{"NaN arrival", 200, math.NaN(), false},
+		{"+Inf arrival", 200, math.Inf(1), false},
+		{"negative arrival", 200, -1, false},
+		{"gap under 1 ps", 1e20, 0, false},
+		{"gap past the clock", 1e-12, 0, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := BaseConfig()
+			cfg.Params.LinkGbps, cfg.Params.ArrivalGbps = c.link, c.arriv
+			err := cfg.Validate()
+			if (err == nil) != c.ok {
+				t.Fatalf("Validate() = %v, want ok=%v", err, c.ok)
+			}
+			if err == nil && cfg.Params.Interarrival() <= 0 {
+				t.Fatalf("accepted params give a %v gap", cfg.Params.Interarrival())
+			}
+		})
 	}
 }
 

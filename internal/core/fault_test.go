@@ -245,3 +245,35 @@ func TestConfigRejectsInvalidPlan(t *testing.T) {
 		t.Fatal("Validate accepted an invalid fault plan")
 	}
 }
+
+// TestPlanEventOnHandoffInstant scripts plan events exactly on the
+// model's handoff instants: a link arrival slot, the instant a demand
+// miss reaches the chipset after its PCIe trip, the instant the earliest
+// completion returns, and a later mid-stream miss. Each instant ties
+// with a model event; the scripted tenant invalidation and broadcast
+// flush must still fire, be applied once each, and leave a run that
+// drains with its conservation invariants intact.
+func TestPlanEventOnHandoffInstant(t *testing.T) {
+	tr := makeTrace(t, workload.Iperf3, 4, trace.RR1, 0.02)
+	p := BaseConfig().Params
+	dt := p.Interarrival()
+	toIO := p.TLBHit + p.PCIeOneWay
+	for _, at := range []sim.Time{
+		sim.Time(dt),        // first arrival slot
+		sim.Time(dt + toIO), // first miss lands at the chipset
+		sim.Time(dt + toIO + p.DRAMLatency + p.PCIeOneWay), // earliest completion returns
+		sim.Time(5*dt + toIO),                              // a later miss, mid-stream
+	} {
+		cfg := BaseConfig()
+		cfg.ExtraStages = []pipeline.StageSpec{{Kind: "invariants"}}
+		cfg.Fault = &fault.Plan{Events: []fault.Event{
+			{At: at, Kind: fault.InvalidateTenant, SID: 1},
+			{At: at, Kind: fault.FlushAll},
+		}}
+		_, st := runWithStats(t, cfg, tr)
+		if st.Applied != 2 || st.TenantInvs != 1 || st.Flushes != 1 {
+			t.Errorf("at=%v: applied=%d tenantInvs=%d flushes=%d, want 2/1/1",
+				at, st.Applied, st.TenantInvs, st.Flushes)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -48,6 +49,41 @@ func parseIOVA(s string) (uint64, error) {
 	return strconv.ParseUint(strings.TrimPrefix(s, "0x"), 16, 64)
 }
 
+// maxPlanPs bounds the magnitude of every time and duration a plan
+// carries. The clock is int64 picoseconds; keeping each value within
+// 2^62 also keeps At+Dur from overflowing.
+const maxPlanPs = 1 << 62
+
+// fromNs converts a nanosecond field to simulated picoseconds. Values
+// beyond ±maxPlanPs are rejected: Go leaves an out-of-range
+// float-to-integer conversion implementation-defined, so they would
+// otherwise become an arbitrary time.
+func fromNs(field string, ns float64) (sim.Duration, error) {
+	if !(math.Abs(ns)*float64(sim.Nanosecond) <= maxPlanPs) {
+		return 0, fmt.Errorf("fault: %s %g ns is outside ±2^62 ps", field, ns)
+	}
+	return sim.FromNanos(ns), nil
+}
+
+// toNs is fromNs's inverse: the nanosecond float that converts back to
+// exactly d. Past 2^51 ps, d/1000 can miss d by a picosecond, and a
+// neighbouring float hits it; any d that fromNs produced is at most a
+// step away.
+func toNs(d sim.Duration) float64 {
+	ns := d.Nanoseconds()
+	lo, hi := ns, ns
+	for i := 0; i < 4; i++ {
+		if sim.FromNanos(lo) == d {
+			return lo
+		}
+		if sim.FromNanos(hi) == d {
+			return hi
+		}
+		lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+	}
+	return ns
+}
+
 // ReadPlan decodes and validates a JSON plan.
 func ReadPlan(r io.Reader) (*Plan, error) {
 	var doc planDoc
@@ -61,11 +97,15 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 	}
 	p := &Plan{Seed: doc.Seed}
 	if rd := doc.Retry; rd != nil {
-		p.Retry = RetryPolicy{
-			MaxRetries: rd.MaxRetries,
-			Backoff:    sim.FromNanos(rd.BackoffNs),
-			BackoffMax: sim.FromNanos(rd.BackoffMaxNs),
+		backoff, err := fromNs("retry backoff_ns", rd.BackoffNs)
+		if err != nil {
+			return nil, err
 		}
+		backoffMax, err := fromNs("retry backoff_max_ns", rd.BackoffMaxNs)
+		if err != nil {
+			return nil, err
+		}
+		p.Retry = RetryPolicy{MaxRetries: rd.MaxRetries, Backoff: backoff, BackoffMax: backoffMax}
 	}
 	for i, ed := range doc.Events {
 		kind, err := KindFromString(ed.Kind)
@@ -76,14 +116,22 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fault: event %d: bad iova %q: %w", i, ed.IOVA, err)
 		}
+		at, err := fromNs("at_ns", ed.AtNs)
+		if err != nil {
+			return nil, fmt.Errorf("fault: event %d: %w", i, err)
+		}
+		dur, err := fromNs("dur_ns", ed.DurNs)
+		if err != nil {
+			return nil, fmt.Errorf("fault: event %d: %w", i, err)
+		}
 		p.Events = append(p.Events, Event{
-			At:     sim.Time(0).Add(sim.FromNanos(ed.AtNs)),
+			At:     sim.Time(0).Add(at),
 			Kind:   kind,
 			SID:    mem.SID(ed.SID),
 			IOVA:   iova,
 			Shift:  ed.Shift,
 			N:      ed.N,
-			Dur:    sim.FromNanos(ed.DurNs),
+			Dur:    dur,
 			Silent: ed.Silent,
 		})
 	}
@@ -100,18 +148,18 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 	if p.Retry != (RetryPolicy{}) {
 		doc.Retry = &retryDoc{
 			MaxRetries:   p.Retry.MaxRetries,
-			BackoffNs:    p.Retry.Backoff.Nanoseconds(),
-			BackoffMaxNs: p.Retry.BackoffMax.Nanoseconds(),
+			BackoffNs:    toNs(p.Retry.Backoff),
+			BackoffMaxNs: toNs(p.Retry.BackoffMax),
 		}
 	}
 	for _, ev := range p.Events {
 		ed := eventDoc{
-			AtNs:   sim.Duration(ev.At).Nanoseconds(),
+			AtNs:   toNs(sim.Duration(ev.At)),
 			Kind:   ev.Kind.String(),
 			SID:    uint32(ev.SID),
 			Shift:  ev.Shift,
 			N:      ev.N,
-			DurNs:  ev.Dur.Nanoseconds(),
+			DurNs:  toNs(ev.Dur),
 			Silent: ev.Silent,
 		}
 		if ev.IOVA != 0 {

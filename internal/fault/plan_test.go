@@ -56,6 +56,9 @@ func TestReadPlanRejects(t *testing.T) {
 		"unknown field": `{"schema":"hypertrio-faultplan/1","events":[],"frobnicate":1}`,
 		"bad iova":      `{"schema":"hypertrio-faultplan/1","events":[{"at_ns":1,"kind":"invalidate_page","sid":1,"iova":"zz","shift":12}]}`,
 		"not json":      `hello`,
+		"at past clock": `{"schema":"hypertrio-faultplan/1","events":[{"at_ns":1e16,"kind":"flush_all"}]}`,
+		"huge dur":      `{"schema":"hypertrio-faultplan/1","events":[{"at_ns":1,"kind":"walker_fault","dur_ns":-1e300}]}`,
+		"huge backoff":  `{"schema":"hypertrio-faultplan/1","retry":{"backoff_ns":1e20},"events":[]}`,
 	}
 	for name, doc := range cases {
 		if _, err := ReadPlan(strings.NewReader(doc)); err == nil {

@@ -1,25 +1,17 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 )
 
-// Handler is a callback executed when an event fires. It receives the
-// engine so it can schedule follow-up events, and the firing time.
-type Handler func(e *Engine, now Time)
-
-// EventSink is the typed, closure-free scheduling path: a model
-// component implements HandleEvent once and schedules events against
-// itself with ScheduleEvent, threading per-event state through the
-// payload word instead of capturing it in a closure. Components that
-// need more than 64 bits of state keep it in a pooled record and pass
-// the record's index (see internal/core and internal/pipeline).
-//
-// Typed and closure events share one queue, one sequence numbering and
-// one firing order; which path scheduled an event is invisible to
-// determinism, probes and traces.
+// EventSink receives the engine's events: a model component implements
+// HandleEvent once and schedules events against itself with
+// ScheduleEvent, threading per-event state through the payload word
+// instead of capturing it in a closure, so scheduling allocates nothing.
+// Components that need more than 64 bits of state keep it in a pooled
+// record and pass the record's index (see internal/core and
+// internal/pipeline).
 type EventSink interface {
 	HandleEvent(e *Engine, now Time, payload uint64)
 }
@@ -40,14 +32,12 @@ const (
 type eventRec struct {
 	at      Time
 	seq     uint64 // schedule order, breaks timestamp ties deterministically
-	fn      Handler
 	sink    EventSink
 	payload uint64
 	label   string
 	next    uint32
 	gen     uint32
 	state   uint8
-	dom     uint8 // owning domain; 0 for serial and lockstep engines
 }
 
 // EventID identifies a scheduled event so it can be cancelled. The zero
@@ -89,18 +79,19 @@ const (
 
 // Engine is a deterministic discrete-event simulator. Events scheduled
 // for the same timestamp fire in scheduling order. Engine is not safe for
-// concurrent use; the whole model is single-threaded by design, which is
-// also what makes runs reproducible.
+// concurrent use; each run is single-threaded by design, which is also
+// what makes runs reproducible (parallelism lives across runs, in the
+// sweep runner's worker pool).
 //
 // Internally the queue is a hierarchical timing wheel over a slab of
 // recycled event records: the slab keeps every record in one flat
-// allocation and the free list recycles slots, so Schedule/Step allocate
-// nothing in steady state (pinned by TestScheduleStepZeroAllocs).
+// allocation and the free list recycles slots, so ScheduleEvent/Step
+// allocate nothing in steady state (pinned by TestScheduleStepZeroAllocs).
 // Scheduling hashes the timestamp into a wheel slot in O(1); firing
 // advances the cursor and cascades at most a handful of records to lower
 // levels, amortized O(1) per event because every relocation moves a
 // record to a strictly lower level. Events at exactly the cursor time
-// sit in a small "ready" heap ordered by (at, dom, seq), which is what
+// sit in a small "ready" heap ordered by (at, seq), which is what
 // preserves the exact total fire order of the previous 4-ary-heap
 // engine. Cancellation is lazy — a cancelled record stays in its slot,
 // is skipped and recycled when the cursor or a peek reaches it.
@@ -114,38 +105,14 @@ type Engine struct {
 	stopped bool
 	probe   Probe
 
-	// Timing-wheel state. cur is the wheel cursor; it trails or equals
-	// the clock and only advances on a committed fire or a RunUntil
-	// deadline, never on a peek — cross-domain Deliver may legally insert
-	// below the currently peeked minimum (only >= now is guaranteed).
+	// Timing-wheel state. cur is the wheel cursor; it only advances on a
+	// committed fire or a RunUntil deadline, never on a peek.
 	cur      Time
 	slotHead [wheelLevels * wheelSlots]uint32 // intrusive lists (slab index + 1)
 	occ      [wheelLevels]uint64              // per-level slot occupancy bitmaps
 	ready    []uint32                         // 4-ary heap of events at exactly cur
 	ovfl     []uint32                         // 4-ary heap of events beyond the horizon
 	scratch  []uint32                         // reused cascade buffer
-
-	// Memoized minimum: findMin scans bitmaps and slot lists once, then
-	// repeated peeks (the lockstep merge loop re-peeks per step) are O(1)
-	// until a pop, a cancel of the cached minimum, or a smaller insert.
-	peekStamp Stamp
-	peekValid bool
-
-	// Sharding state (see ShardedEngine). A serial engine keeps the zero
-	// domain and its own sequence counter, making the comparator
-	// (at, dom, seq) degenerate to the historical (at, seq) order.
-	dom  uint8
-	seqp *uint64 // shared sequence counter; nil means &e.nextSeq
-
-	// Parked cross-domain messages, indexed by the payload word of the
-	// event Deliver schedules; recycled through a free list like the
-	// event slab so steady-state handoff allocates nothing.
-	msgs    []Msg
-	msgFree []uint32
-
-	// deliveries counts Deliver calls; the lockstep merge loop uses it to
-	// notice that a fired event lowered this engine's head mid-batch.
-	deliveries uint64
 }
 
 // NewEngine returns an engine with the clock at time zero.
@@ -174,107 +141,14 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // sees events from the next operation onward.
 func (e *Engine) SetProbe(p Probe) { e.probe = p }
 
-// SetDomain tags every event this engine subsequently schedules with the
-// domain ID d. ShardedEngine uses it in parallel mode so the
-// (at, dom, seq) comparator totally orders events across domains even
-// though each domain assigns sequence numbers independently. Serial
-// engines and lockstep topologies keep the zero domain.
-func (e *Engine) SetDomain(d uint8) { e.dom = d }
-
-// Domain returns the engine's domain tag.
-func (e *Engine) Domain() uint8 { return e.dom }
-
-// SetSharedSeq points the engine's sequence counter at an external
-// counter shared with other engines (the lockstep sharding mode), so
-// events scheduled across all of them draw from one global schedule
-// order — exactly the sequence a single serial engine would have
-// assigned. Passing nil restores the engine's own counter. Must be
-// called before any event is scheduled.
-func (e *Engine) SetSharedSeq(p *uint64) { e.seqp = p }
-
-// takeSeq consumes the next sequence number from the engine's counter
-// (its own, or the shared lockstep counter).
-func (e *Engine) takeSeq() uint64 {
-	p := e.seqp
-	if p == nil {
-		p = &e.nextSeq
-	}
-	s := *p
-	*p++
-	return s
-}
-
-// Stamp is an event's global ordering key. Events fire in lexicographic
-// (At, Dom, Seq) order; for serial engines Dom is always zero and the
-// order is the historical (At, Seq).
-type Stamp struct {
-	At  Time
-	Dom uint8
-	Seq uint64
-}
-
-// Less reports whether s orders strictly before o.
-func (s Stamp) Less(o Stamp) bool {
-	if s.At != o.At {
-		return s.At < o.At
-	}
-	if s.Dom != o.Dom {
-		return s.Dom < o.Dom
-	}
-	return s.Seq < o.Seq
-}
-
-// PeekStamp returns the ordering stamp of the earliest pending event
-// without firing it, discarding any cancelled records it encounters. The
-// second result is false when the queue is empty. Peeking never moves
-// the wheel cursor, so a later Deliver below the peeked minimum stays
-// legal.
-func (e *Engine) PeekStamp() (Stamp, bool) {
-	return e.findMin()
-}
-
-// Deliveries counts how many cross-domain messages have been delivered
-// into this engine (see Deliver).
-func (e *Engine) Deliveries() uint64 { return e.deliveries }
-
-// ErrPastEvent is returned by ScheduleAt when the requested time is
-// before the current simulation time.
-var ErrPastEvent = errors.New("sim: event scheduled in the past")
-
-// Schedule queues fn to run after delay. A negative delay panics: the
-// model must never travel backwards in time.
-func (e *Engine) Schedule(delay Duration, fn Handler) EventID {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d ps", int64(delay)))
-	}
-	return e.scheduleAt(e.now.Add(delay), fn, nil, 0, "")
-}
-
-// ScheduleAt queues fn to run at the absolute time at.
-func (e *Engine) ScheduleAt(at Time, fn Handler) (EventID, error) {
-	if at < e.now {
-		return EventID{}, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now)
-	}
-	return e.scheduleAt(at, fn, nil, 0, ""), nil
-}
-
-// ScheduleLabeled is Schedule with a debug label attached to the event.
-func (e *Engine) ScheduleLabeled(delay Duration, label string, fn Handler) EventID {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d ps", int64(delay)))
-	}
-	return e.scheduleAt(e.now.Add(delay), fn, nil, 0, label)
-}
-
 // ScheduleEvent queues a typed event: after delay, sink.HandleEvent
-// fires with the payload word. Unlike Schedule with a capturing
-// closure, this path allocates nothing — the hot-path alternative for
-// model components that schedule per packet or per translation.
+// fires with the payload word. A negative delay panics: the model must
+// never travel backwards in time.
 func (e *Engine) ScheduleEvent(delay Duration, sink EventSink, payload uint64) EventID {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d ps", int64(delay)))
 	}
-	return e.scheduleAt(e.now.Add(delay), nil, sink, payload, "")
+	return e.scheduleAt(e.now.Add(delay), sink, payload, "")
 }
 
 // ScheduleEventLabeled is ScheduleEvent with a debug label attached.
@@ -282,22 +156,21 @@ func (e *Engine) ScheduleEventLabeled(delay Duration, label string, sink EventSi
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d ps", int64(delay)))
 	}
-	return e.scheduleAt(e.now.Add(delay), nil, sink, payload, label)
+	return e.scheduleAt(e.now.Add(delay), sink, payload, label)
 }
 
-func (e *Engine) scheduleAt(at Time, fn Handler, sink EventSink, payload uint64, label string) EventID {
+func (e *Engine) scheduleAt(at Time, sink EventSink, payload uint64, label string) EventID {
 	idx := e.allocRec()
 	rec := &e.slab[idx]
 	rec.at = at
-	rec.seq = e.takeSeq()
-	rec.dom = e.dom
-	rec.fn = fn
+	rec.seq = e.nextSeq
+	e.nextSeq++
 	rec.sink = sink
 	rec.payload = payload
 	rec.label = label
 	rec.state = recQueued
 	e.live++
-	e.enqueue(idx)
+	e.place(idx, at)
 	if e.probe != nil {
 		e.probe.OnSchedule(at, rec.seq, label)
 	}
@@ -316,13 +189,12 @@ func (e *Engine) allocRec() uint32 {
 }
 
 // freeRec retires a slab slot: the generation bump invalidates any
-// outstanding EventID, and clearing the references releases the
-// handler/sink for GC.
+// outstanding EventID, and clearing the references releases the sink
+// for GC.
 func (e *Engine) freeRec(idx uint32) {
 	rec := &e.slab[idx]
 	rec.gen++
 	rec.state = recFree
-	rec.fn = nil
 	rec.sink = nil
 	rec.label = ""
 	rec.next = 0
@@ -345,9 +217,6 @@ func (e *Engine) Cancel(id EventID) bool {
 	}
 	rec.state = recCancelled
 	e.live--
-	if e.peekValid && e.peekStamp.At == rec.at && e.peekStamp.Dom == rec.dom && e.peekStamp.Seq == rec.seq {
-		e.peekValid = false
-	}
 	if e.probe != nil {
 		e.probe.OnCancel(rec.at, rec.seq, rec.label)
 	}
@@ -360,11 +229,18 @@ func (e *Engine) Stop() { e.stopped = true }
 // Step fires the single earliest pending event. It returns false when the
 // queue is empty.
 func (e *Engine) Step() bool {
-	st, ok := e.findMin()
+	at, ok := e.findMin()
 	if !ok {
 		return false
 	}
-	e.advanceTo(st.At)
+	e.fire(at)
+	return true
+}
+
+// fire advances the cursor to at, the time of the earliest live event
+// (as findMin reported it), and fires that event.
+func (e *Engine) fire(at Time) {
+	e.advanceTo(at)
 	// The minimum now sits in the ready bucket; anything cancelled ahead
 	// of it recycles on the way.
 	var idx uint32
@@ -379,10 +255,8 @@ func (e *Engine) Step() bool {
 		}
 		break
 	}
-	e.peekValid = false
 	rec := &e.slab[idx]
-	at, seq := rec.at, rec.seq
-	fn, sink, payload, label := rec.fn, rec.sink, rec.payload, rec.label
+	seq, sink, payload, label := rec.seq, rec.sink, rec.payload, rec.label
 	// Recycle before firing: the handler may schedule into this very
 	// slot, which is exactly why EventIDs are generation-checked.
 	e.freeRec(idx)
@@ -395,12 +269,7 @@ func (e *Engine) Step() bool {
 	if e.probe != nil {
 		e.probe.OnFire(at, seq, label)
 	}
-	if fn != nil {
-		fn(e, e.now)
-	} else {
-		sink.HandleEvent(e, e.now, payload)
-	}
-	return true
+	sink.HandleEvent(e, e.now, payload)
 }
 
 // Run fires events until the queue drains or Stop is called. It returns
@@ -426,11 +295,11 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 	start := e.fired
 	e.stopped = false
 	for !e.stopped {
-		st, ok := e.findMin()
-		if !ok || st.At > deadline {
+		at, ok := e.findMin()
+		if !ok || at > deadline {
 			break
 		}
-		e.Step()
+		e.fire(at)
 	}
 	if e.now < deadline && !e.stopped {
 		// No live event lies in (cur, deadline], so the cursor may jump
@@ -466,19 +335,6 @@ func (e *Engine) RunLimit(n uint64) uint64 {
 // strictly lower level every time, bounding total relocation work per
 // event by the number of levels.
 
-// enqueue places a filled record into the queue structure appropriate
-// for its timestamp and keeps the memoized minimum coherent.
-func (e *Engine) enqueue(idx uint32) {
-	rec := &e.slab[idx]
-	if e.peekValid {
-		st := Stamp{At: rec.at, Dom: rec.dom, Seq: rec.seq}
-		if st.Less(e.peekStamp) {
-			e.peekStamp = st
-		}
-	}
-	e.place(idx, rec.at)
-}
-
 // place inserts idx into the ready heap, a wheel slot, or the overflow
 // heap according to t's distance from the cursor. t must be >= cur.
 func (e *Engine) place(idx uint32, t Time) {
@@ -504,23 +360,16 @@ func lowOnes(n uint) uint64 {
 	return ^uint64(0) >> (64 - n)
 }
 
-// findMin locates the earliest live event without moving the cursor,
-// recycling any cancelled records it encounters, and memoizes the
-// result for repeated peeks. The second result is false when the queue
-// holds no live events.
-func (e *Engine) findMin() (Stamp, bool) {
-	if e.peekValid {
-		return e.peekStamp, true
-	}
+// findMin returns the time of the earliest live event without moving
+// the cursor, recycling any cancelled records it encounters. The second
+// result is false when the queue holds no live events.
+func (e *Engine) findMin() (Time, bool) {
 	// Ready bucket first: it holds events at exactly cur, which precede
 	// everything in the wheel (> cur) and the overflow (beyond horizon).
 	for len(e.ready) > 0 {
 		top := e.ready[0]
 		if e.slab[top].state != recCancelled {
-			r := &e.slab[top]
-			e.peekStamp = Stamp{At: r.at, Dom: r.dom, Seq: r.seq}
-			e.peekValid = true
-			return e.peekStamp, true
+			return e.slab[top].at, true
 		}
 		e.ready, _ = e.heapPopFrom(e.ready)
 		e.freeRec(top)
@@ -537,10 +386,8 @@ func (e *Engine) findMin() (Stamp, bool) {
 		mask := e.occ[lvl] &^ lowOnes(curSlot+1)
 		for mask != 0 {
 			slot := bits.TrailingZeros64(mask)
-			if st, ok := e.scanSlot(lvl, slot); ok {
-				e.peekStamp = st
-				e.peekValid = true
-				return st, true
+			if at, ok := e.scanSlot(lvl, slot); ok {
+				return at, true
 			}
 			mask &^= 1 << uint(slot) // slot held only cancelled records
 		}
@@ -550,23 +397,20 @@ func (e *Engine) findMin() (Stamp, bool) {
 	for len(e.ovfl) > 0 {
 		top := e.ovfl[0]
 		if e.slab[top].state != recCancelled {
-			r := &e.slab[top]
-			e.peekStamp = Stamp{At: r.at, Dom: r.dom, Seq: r.seq}
-			e.peekValid = true
-			return e.peekStamp, true
+			return e.slab[top].at, true
 		}
 		e.ovfl, _ = e.heapPopFrom(e.ovfl)
 		e.freeRec(top)
 	}
-	return Stamp{}, false
+	return 0, false
 }
 
 // scanSlot walks one wheel slot's list, unlinking and recycling
-// cancelled records, and returns the minimum live stamp. When no live
+// cancelled records, and returns the earliest live time. When no live
 // record remains the slot empties and its occupancy bit clears.
-func (e *Engine) scanSlot(lvl, slot int) (Stamp, bool) {
+func (e *Engine) scanSlot(lvl, slot int) (Time, bool) {
 	pos := lvl*wheelSlots + slot
-	var best Stamp
+	var best Time
 	found := false
 	prev := uint32(0)
 	cur := e.slotHead[pos]
@@ -584,9 +428,8 @@ func (e *Engine) scanSlot(lvl, slot int) (Stamp, bool) {
 			cur = next
 			continue
 		}
-		st := Stamp{At: rec.at, Dom: rec.dom, Seq: rec.seq}
-		if !found || st.Less(best) {
-			best = st
+		if !found || rec.at < best {
+			best = rec.at
 			found = true
 		}
 		prev = cur
@@ -716,13 +559,11 @@ func (e *Engine) advanceTo(T Time) {
 
 // --- 4-ary min-heaps over slab indices --------------------------------
 //
-// The ready bucket (events at exactly the cursor time, ordered by
-// (at, dom, seq)) and the overflow bucket (events beyond the wheel
-// horizon) are small 4-ary heaps: shallow, cache-friendly, and shared
-// with nothing. Ordering pairs are unique (a domain never reuses a
-// sequence number), so the comparator is a total order; serial engines
-// keep dom == 0 everywhere, making pop order exactly the historical
-// (at, seq) firing order.
+// The ready bucket (events at exactly the cursor time) and the overflow
+// bucket (events beyond the wheel horizon) are small 4-ary heaps
+// ordered by (at, seq): shallow, cache-friendly, and shared with
+// nothing. Sequence numbers are never reused, so the comparator is a
+// total order and pop order is exactly the schedule-order tie-break.
 
 const heapArity = 4
 
@@ -730,9 +571,6 @@ func (e *Engine) heapLess(a, b uint32) bool {
 	ra, rb := &e.slab[a], &e.slab[b]
 	if ra.at != rb.at {
 		return ra.at < rb.at
-	}
-	if ra.dom != rb.dom {
-		return ra.dom < rb.dom
 	}
 	return ra.seq < rb.seq
 }

@@ -7,12 +7,18 @@ import (
 	"testing/quick"
 )
 
+// handler adapts a closure to EventSink so ordering tests can record
+// fires through captured state; the payload word is unused.
+type handler func(e *Engine, now Time)
+
+func (h handler) HandleEvent(e *Engine, now Time, _ uint64) { h(e, now) }
+
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(30*Nanosecond, func(*Engine, Time) { got = append(got, 3) })
-	e.Schedule(10*Nanosecond, func(*Engine, Time) { got = append(got, 1) })
-	e.Schedule(20*Nanosecond, func(*Engine, Time) { got = append(got, 2) })
+	e.ScheduleEvent(30*Nanosecond, handler(func(*Engine, Time) { got = append(got, 3) }), 0)
+	e.ScheduleEvent(10*Nanosecond, handler(func(*Engine, Time) { got = append(got, 1) }), 0)
+	e.ScheduleEvent(20*Nanosecond, handler(func(*Engine, Time) { got = append(got, 2) }), 0)
 	if n := e.Run(); n != 3 {
 		t.Fatalf("Run fired %d events, want 3", n)
 	}
@@ -29,7 +35,7 @@ func TestTieBreakIsScheduleOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5*Nanosecond, func(*Engine, Time) { got = append(got, i) })
+		e.ScheduleEvent(5*Nanosecond, handler(func(*Engine, Time) { got = append(got, i) }), 0)
 	}
 	e.Run()
 	for i, v := range got {
@@ -42,14 +48,14 @@ func TestTieBreakIsScheduleOrder(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var ticks []Time
-	var tick Handler
+	var tick handler
 	tick = func(e *Engine, now Time) {
 		ticks = append(ticks, now)
 		if len(ticks) < 5 {
-			e.Schedule(7*Nanosecond, tick)
+			e.ScheduleEvent(7*Nanosecond, tick, 0)
 		}
 	}
-	e.Schedule(0, tick)
+	e.ScheduleEvent(0, tick, 0)
 	e.Run()
 	if len(ticks) != 5 {
 		t.Fatalf("got %d ticks, want 5", len(ticks))
@@ -65,7 +71,7 @@ func TestNestedScheduling(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	id := e.Schedule(10*Nanosecond, func(*Engine, Time) { fired = true })
+	id := e.ScheduleEvent(10*Nanosecond, handler(func(*Engine, Time) { fired = true }), 0)
 	if !e.Cancel(id) {
 		t.Fatal("Cancel returned false for a pending event")
 	}
@@ -80,7 +86,7 @@ func TestCancel(t *testing.T) {
 
 func TestCancelAfterFire(t *testing.T) {
 	e := NewEngine()
-	id := e.Schedule(1*Nanosecond, func(*Engine, Time) {})
+	id := e.ScheduleEvent(1*Nanosecond, handler(func(*Engine, Time) {}), 0)
 	e.Run()
 	if e.Cancel(id) {
 		t.Fatal("Cancel after fire should return false")
@@ -91,12 +97,12 @@ func TestStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 0; i < 10; i++ {
-		e.Schedule(Duration(i)*Nanosecond, func(e *Engine, _ Time) {
+		e.ScheduleEvent(Duration(i)*Nanosecond, handler(func(e *Engine, _ Time) {
 			count++
 			if count == 4 {
 				e.Stop()
 			}
-		})
+		}), 0)
 	}
 	e.Run()
 	if count != 4 {
@@ -111,7 +117,7 @@ func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
 	for i := 1; i <= 10; i++ {
-		e.Schedule(Duration(i)*Microsecond, func(_ *Engine, now Time) { fired = append(fired, now) })
+		e.ScheduleEvent(Duration(i)*Microsecond, handler(func(_ *Engine, now Time) { fired = append(fired, now) }), 0)
 	}
 	n := e.RunUntil(Time(5 * Microsecond))
 	if n != 5 {
@@ -133,20 +139,25 @@ func TestRunUntil(t *testing.T) {
 func TestRunLimit(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 100; i++ {
-		e.Schedule(Duration(i), func(*Engine, Time) {})
+		e.ScheduleEvent(Duration(i), handler(func(*Engine, Time) {}), 0)
 	}
 	if n := e.RunLimit(17); n != 17 {
 		t.Fatalf("RunLimit fired %d, want 17", n)
 	}
 }
 
+// TestScheduleAtPast: an absolute time already behind the clock turns
+// into a negative delay, which panics instead of firing in the past.
 func TestScheduleAtPast(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10*Nanosecond, func(*Engine, Time) {})
+	e.ScheduleEvent(10*Nanosecond, handler(func(*Engine, Time) {}), 0)
 	e.Run()
-	if _, err := e.ScheduleAt(Time(5*Nanosecond), func(*Engine, Time) {}); err == nil {
-		t.Fatal("ScheduleAt in the past should error")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("scheduling at a time in the past did not panic")
+		}
+	}()
+	e.ScheduleEvent(Time(5*Nanosecond).Sub(e.Now()), handler(func(*Engine, Time) {}), 0)
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
@@ -155,7 +166,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Fatal("negative delay did not panic")
 		}
 	}()
-	NewEngine().Schedule(-1, func(*Engine, Time) {})
+	NewEngine().ScheduleEvent(-1, handler(func(*Engine, Time) {}), 0)
 }
 
 // Property: any batch of randomly timed events fires in nondecreasing
@@ -173,9 +184,9 @@ func TestPropertyEventOrdering(t *testing.T) {
 		var fired []firing
 		for i, d := range delays {
 			i := i
-			e.Schedule(Duration(d)*Nanosecond, func(_ *Engine, now Time) {
+			e.ScheduleEvent(Duration(d)*Nanosecond, handler(func(_ *Engine, now Time) {
 				fired = append(fired, firing{now, i})
-			})
+			}), 0)
 		}
 		e.Run()
 		if len(fired) != len(delays) {
@@ -206,7 +217,7 @@ func TestPropertyCancelSubset(t *testing.T) {
 		ids := make([]EventID, n)
 		for i := 0; i < n; i++ {
 			i := i
-			ids[i] = e.Schedule(Duration(rng.Intn(1000))*Nanosecond, func(*Engine, Time) { firedSet[i] = true })
+			ids[i] = e.ScheduleEvent(Duration(rng.Intn(1000))*Nanosecond, handler(func(*Engine, Time) { firedSet[i] = true }), 0)
 		}
 		cancelled := make(map[int]bool)
 		for i := 0; i < n; i++ {
@@ -269,7 +280,7 @@ func TestTimeArithmetic(t *testing.T) {
 func TestScheduleLabeled(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.ScheduleLabeled(5*Nanosecond, "pcie-return", func(*Engine, Time) { fired = true })
+	e.ScheduleEventLabeled(5*Nanosecond, "pcie-return", handler(func(*Engine, Time) { fired = true }), 0)
 	e.Run()
 	if !fired {
 		t.Fatal("labeled event did not fire")
@@ -279,13 +290,13 @@ func TestScheduleLabeled(t *testing.T) {
 			t.Fatal("negative labeled delay did not panic")
 		}
 	}()
-	e.ScheduleLabeled(-1, "bad", func(*Engine, Time) {})
+	e.ScheduleEventLabeled(-1, "bad", handler(func(*Engine, Time) {}), 0)
 }
 
 func TestFiredAndPendingCounters(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
-		e.Schedule(Duration(i)*Nanosecond, func(*Engine, Time) {})
+		e.ScheduleEvent(Duration(i)*Nanosecond, handler(func(*Engine, Time) {}), 0)
 	}
 	if e.Pending() != 5 || e.Fired() != 0 {
 		t.Fatalf("pending=%d fired=%d", e.Pending(), e.Fired())
@@ -318,11 +329,11 @@ func TestDurationStd(t *testing.T) {
 func TestRunUntilStopMidWindow(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(10*Nanosecond, func(e *Engine, _ Time) {
+	e.ScheduleEvent(10*Nanosecond, handler(func(e *Engine, _ Time) {
 		got = append(got, 1)
 		e.Stop()
-	})
-	e.Schedule(20*Nanosecond, func(*Engine, Time) { got = append(got, 2) })
+	}), 0)
+	e.ScheduleEvent(20*Nanosecond, handler(func(*Engine, Time) { got = append(got, 2) }), 0)
 
 	deadline := Time(50 * Nanosecond)
 	if n := e.RunUntil(deadline); n != 1 {
@@ -364,13 +375,13 @@ func TestCancelSameTimestampDuringFiring(t *testing.T) {
 	var ids [3]EventID
 	var fired [3]bool
 	var selfCancel, laterCancel bool
-	ids[0] = e.Schedule(5*Nanosecond, func(e *Engine, _ Time) {
+	ids[0] = e.ScheduleEvent(5*Nanosecond, handler(func(e *Engine, _ Time) {
 		fired[0] = true
 		selfCancel = e.Cancel(ids[0])  // popped: must fail
 		laterCancel = e.Cancel(ids[2]) // still queued at the same ts: must succeed
-	})
-	ids[1] = e.Schedule(5*Nanosecond, func(*Engine, Time) { fired[1] = true })
-	ids[2] = e.Schedule(5*Nanosecond, func(*Engine, Time) { fired[2] = true })
+	}), 0)
+	ids[1] = e.ScheduleEvent(5*Nanosecond, handler(func(*Engine, Time) { fired[1] = true }), 0)
+	ids[2] = e.ScheduleEvent(5*Nanosecond, handler(func(*Engine, Time) { fired[2] = true }), 0)
 	e.Run()
 
 	if selfCancel {
@@ -394,12 +405,12 @@ func TestCancelSameTimestampDuringFiring(t *testing.T) {
 // TestStoppedReset verifies Stopped clears on every run entry point.
 func TestStoppedReset(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(1*Nanosecond, func(e *Engine, _ Time) { e.Stop() })
+	e.ScheduleEvent(1*Nanosecond, handler(func(e *Engine, _ Time) { e.Stop() }), 0)
 	e.Run()
 	if !e.Stopped() {
 		t.Fatal("Stopped() false after Stop")
 	}
-	e.Schedule(1*Nanosecond, func(*Engine, Time) {})
+	e.ScheduleEvent(1*Nanosecond, handler(func(*Engine, Time) {}), 0)
 	e.Run()
 	if e.Stopped() {
 		t.Fatal("Stopped() not cleared by the next Run")

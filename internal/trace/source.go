@@ -39,9 +39,9 @@ type Source interface {
 	Reset()
 	// Materialized returns the fully constructed trace behind the source,
 	// or nil for online sources. Consumers that genuinely need the whole
-	// sequence at once (Belady-oracle precomputation, unmap lookahead
-	// scans) use it and must handle nil by failing fast or degrading
-	// conservatively — never by silently draining the source.
+	// sequence at once (Belady-oracle precomputation) use it and must
+	// handle nil by failing fast or degrading conservatively — never by
+	// silently draining the source.
 	Materialized() *Trace
 }
 
