@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test perfbench-test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover cover-check fuzz-smoke vet lint bench-quick bench-obs bench-smoke bench-json bench-mem bench-compare smoke ci clean
+.PHONY: all build test perfbench-test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover cover-check fuzz-smoke vet lint bench-quick bench-obs bench-smoke smoke ci clean
 
 all: build
 
@@ -129,36 +129,11 @@ bench-obs:
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# Machine-readable performance snapshot (ns/op, allocs/op, pkts/s and
-# the quick-suite wall time) written to BENCH_PR9.json. Pass
-# BENCH_BASELINE=<file> to embed deltas against a previous snapshot.
-bench-json:
-	$(GO) run ./cmd/benchjson $(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE))
-
-# Regression gate: re-measure the hot-path benchmarks at a short
-# benchtime and diff them against the committed snapshot. The threshold
-# is deliberately generous — a 100ms benchtime trades precision for
-# speed, so this gate catches structural rot (an optimization wired out,
-# an alloc-free path regressing to allocation), not single-digit drift.
-BENCH_SNAPSHOT ?= BENCH_PR9.json
-BENCH_THRESHOLD ?= 0.5
-bench-compare:
-	$(GO) run ./cmd/benchjson -skip-suite -benchtime 100ms -o bench-compare.json
-	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) $(BENCH_SNAPSHOT) bench-compare.json
-
-# Memory-footprint snapshot (schema hypertrio-bench/2): streaming vs
-# materialized bytes/tenant and peak heap for the 10^5-tenant cell,
-# written to BENCH_MEM.json. Pass BENCH_BASELINE=<file> to embed ratios
-# against a previous snapshot (v1 baselines load; their memory delta is
-# simply omitted).
-bench-mem:
-	$(GO) run ./cmd/benchjson -skip-bench -skip-suite -mem -o BENCH_MEM.json $(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE))
-
 # CI smoke run: the reduced-scale experiment suite end to end.
 smoke:
 	$(GO) run ./cmd/experiments -quick -out results-smoke
 
-ci: build lint test perfbench-test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover-check fuzz-smoke bench-smoke bench-compare smoke
+ci: build lint test perfbench-test golden mem-guard race race-obs race-fault race-scenario scenario-lint cover-check fuzz-smoke bench-smoke smoke
 
 clean:
-	rm -rf results-smoke cover.out bench-compare.json
+	rm -rf results-smoke cover.out

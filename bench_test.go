@@ -1,6 +1,8 @@
-// Benchmark harness: one testing.B benchmark per paper table/figure
-// (regenerating the artifact at reduced, shape-preserving scale) plus
-// micro-benchmarks for the hot structures of the model.
+// Benchmark harness: the quick experiment suite, end-to-end runs of both
+// designs, and micro-benchmarks for the hot structures of the model.
+// Per-experiment wall times come from the repository benchmark: a traced
+// `bash perfbench/run.sh --workload quick-suite --trace 1` run reports
+// each one as experiments.<id>_s.
 //
 // Regenerate everything at full scale with:  go run ./cmd/experiments
 package hypertrio_test
@@ -20,47 +22,6 @@ import (
 	"hypertrio/internal/trace"
 	"hypertrio/internal/workload"
 )
-
-// benchExperiment reruns one registered experiment per iteration.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := experiments.Lookup(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	opts := experiments.Options{Seed: 42, Quick: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tbl, err := e.Run(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tbl.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// One benchmark per paper artifact (DESIGN.md §4 maps IDs to the paper).
-
-func BenchmarkTable2(b *testing.B)        { benchExperiment(b, "table2") }
-func BenchmarkTable3(b *testing.B)        { benchExperiment(b, "table3") }
-func BenchmarkFigure4(b *testing.B)       { benchExperiment(b, "fig4") }
-func BenchmarkFigure5(b *testing.B)       { benchExperiment(b, "fig5") }
-func BenchmarkFigure8a(b *testing.B)      { benchExperiment(b, "fig8a") }
-func BenchmarkFigure8b(b *testing.B)      { benchExperiment(b, "fig8b") }
-func BenchmarkFigure9(b *testing.B)       { benchExperiment(b, "fig9") }
-func BenchmarkFigure10(b *testing.B)      { benchExperiment(b, "fig10") }
-func BenchmarkFigure11a(b *testing.B)     { benchExperiment(b, "fig11a") }
-func BenchmarkFigure11b(b *testing.B)     { benchExperiment(b, "fig11b") }
-func BenchmarkFigure11c(b *testing.B)     { benchExperiment(b, "fig11c") }
-func BenchmarkFigure12a(b *testing.B)     { benchExperiment(b, "fig12a") }
-func BenchmarkFigure12b(b *testing.B)     { benchExperiment(b, "fig12b") }
-func BenchmarkFigure12c(b *testing.B)     { benchExperiment(b, "fig12c") }
-func BenchmarkExtPartitions(b *testing.B) { benchExperiment(b, "ext-partitions") }
-func BenchmarkExtWalkers(b *testing.B)    { benchExperiment(b, "ext-walkers") }
-func BenchmarkExtFiveLevel(b *testing.B)  { benchExperiment(b, "ext-5level") }
-func BenchmarkExtIsolation(b *testing.B)  { benchExperiment(b, "ext-isolation") }
 
 // benchSuite regenerates every registered experiment — the workload of
 // one `cmd/experiments -quick` run — with the given worker count. The

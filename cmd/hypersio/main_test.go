@@ -81,6 +81,9 @@ func TestRunErrors(t *testing.T) {
 		{"negative tenants", func(o *options) { o.tenants = -3 }},
 		{"zero scale", func(o *options) { o.scale = 0 }},
 		{"scale above one", func(o *options) { o.scale = 1.5 }},
+		{"NaN scale", func(o *options) { o.scale = math.NaN() }},
+		{"infinite scale", func(o *options) { o.scale = math.Inf(1) }},
+		{"negative infinite scale", func(o *options) { o.scale = math.Inf(-1) }},
 		{"negative link", func(o *options) { o.linkGbps = -1 }},
 		{"negative ptb", func(o *options) { o.ptb = -1 }},
 		{"negative devtlb", func(o *options) { o.devtlbSize = -8 }},
@@ -409,6 +412,9 @@ func TestCLIExitCodes(t *testing.T) {
 		{"NaN link", append(small, "-link", "NaN"), 1},
 		{"infinite link", append(small, "-link", "Inf"), 1},
 		{"negative infinite link", append(small, "-link", "-Inf"), 1},
+		{"NaN scale", []string{"-tenants", "4", "-scale", "NaN"}, 1},
+		{"infinite scale", []string{"-tenants", "4", "-scale", "Inf"}, 1},
+		{"negative infinite scale", []string{"-tenants", "4", "-scale", "-Inf"}, 1},
 		{"conflicting trace-engine", []string{"-trace-engine"}, 1},
 		{"conflicting describe+faults", []string{"-describe", "-faults", plan}, 1},
 		{"missing faults file", append(small, "-faults", "/nonexistent/plan.json"), 1},

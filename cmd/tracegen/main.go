@@ -65,7 +65,7 @@ func validateShape(tenants int, scale float64) error {
 	if tenants <= 0 {
 		return fmt.Errorf("-tenants must be positive, got %d", tenants)
 	}
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) {
 		return fmt.Errorf("-scale must be in (0,1], got %g", scale)
 	}
 	return nil
@@ -189,7 +189,7 @@ func collectLogs(dir, benchmark string, tenants int, seed int64, scale float64) 
 }
 
 func mergeLogs(dir, benchmark, interleave, out string, seed int64, scale float64) error {
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) {
 		return fmt.Errorf("-scale must be in (0,1], got %g", scale)
 	}
 	kind, err := hypertrio.ParseBenchmark(benchmark)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -93,6 +94,14 @@ func TestShapeValidation(t *testing.T) {
 	}
 	if err := generate("iperf3", "RR1", "", 4, 1, 1.01); err == nil {
 		t.Error("scale > 1 accepted")
+	}
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := generate("iperf3", "RR1", "", 4, 1, scale); err == nil {
+			t.Errorf("scale %v accepted", scale)
+		}
+		if err := mergeLogs(t.TempDir(), "iperf3", "RR1", "", 1, scale); err == nil {
+			t.Errorf("merge with scale %v accepted", scale)
+		}
 	}
 	dir := t.TempDir()
 	if err := collectLogs(dir, "iperf3", 0, 1, 0.01); err == nil {

@@ -174,6 +174,25 @@ func (c Config) Validate() error {
 	if l := c.PageTableLevels; l != 0 && l != 4 && l != 5 {
 		return fmt.Errorf("core: PageTableLevels must be 0, 4 or 5, got %d", l)
 	}
+	if c.IOMMUWalkers < 0 {
+		return fmt.Errorf("core: IOMMUWalkers must be >= 0, got %d", c.IOMMUWalkers)
+	}
+	caches := []tlb.Config{c.IOMMU.ContextCache, c.IOMMU.L2PWC, c.IOMMU.L3PWC}
+	if c.DevTLB.Sets != 0 {
+		caches = append(caches, c.DevTLB)
+	}
+	if c.IOMMU.IOTLB.Sets != 0 {
+		caches = append(caches, c.IOMMU.IOTLB)
+	}
+	for _, cc := range caches {
+		if err := cc.Validate(); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
+	if p := c.Prefetch; p != nil && (p.BufferEntries < 0 || p.HistoryLen < 0 || p.Degree < 0) {
+		return fmt.Errorf("core: prefetch BufferEntries, HistoryLen and Degree must be >= 0, got %d, %d, %d",
+			p.BufferEntries, p.HistoryLen, p.Degree)
+	}
 	if err := c.Fault.Validate(); err != nil {
 		return err
 	}

@@ -109,6 +109,36 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsBadGeometry: every enabled cache geometry and every
+// count field fails validation with an error. Accepted, a zero way count
+// panics in tlb.New, and negative counts ran silently.
+func TestConfigRejectsBadGeometry(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"zero DevTLB ways", func(c *Config) { c.DevTLB.Ways = 0 }},
+		{"negative DevTLB sets", func(c *Config) { c.DevTLB.Sets = -8 }},
+		{"zero context-cache ways", func(c *Config) { c.IOMMU.ContextCache.Ways = 0 }},
+		{"zero L2 PWC ways", func(c *Config) { c.IOMMU.L2PWC.Ways = 0 }},
+		{"zero L3 PWC ways", func(c *Config) { c.IOMMU.L3PWC.Ways = 0 }},
+		{"negative IOTLB sets", func(c *Config) { c.IOMMU.IOTLB.Sets = -1 }},
+		{"negative walkers", func(c *Config) { c.IOMMUWalkers = -1 }},
+		{"negative prefetch buffer", func(c *Config) { c.Prefetch.BufferEntries = -1 }},
+		{"negative history length", func(c *Config) { c.Prefetch.HistoryLen = -1 }},
+		{"negative prefetch degree", func(c *Config) { c.Prefetch.Degree = -1 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := HyperTRIOConfig()
+			c.mut(&cfg)
+			if err := cfg.Validate(); err == nil {
+				t.Fatal("Validate accepted the config")
+			}
+		})
+	}
+}
+
 // TestParamsRejectNonFiniteRates: rates whose packet gap the picosecond
 // clock cannot hold fail validation. Accepted, a NaN link rate gives a
 // -2^63 ps gap (a negative-delay panic) and +Inf a 0 ps gap (an arrival

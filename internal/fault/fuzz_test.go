@@ -19,6 +19,7 @@ func FuzzFaultPlanCodec(f *testing.F) {
 	f.Add([]byte(`{"schema":"hypertrio-faultplan/1","events":[]}`))
 	f.Add([]byte(`{"schema":"hypertrio-faultplan/1","retry":{},"events":null}`))
 	f.Add([]byte(`{"schema":"hypertrio-faultplan/1","events":[{"at_ns":0.0004,"kind":"flush_all","dur_ns":-0.0004}]}`))
+	f.Add([]byte(`{"schema":"hypertrio-faultplan/1","events":[]} {"schema":"x"} garbage`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadPlan(bytes.NewReader(data))
 		if err != nil {

@@ -92,6 +92,9 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("fault: decoding plan: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("fault: decoding plan: data after the document")
+	}
 	if doc.Schema != PlanSchema {
 		return nil, fmt.Errorf("fault: plan schema %q, want %q", doc.Schema, PlanSchema)
 	}

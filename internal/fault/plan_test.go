@@ -59,6 +59,7 @@ func TestReadPlanRejects(t *testing.T) {
 		"at past clock": `{"schema":"hypertrio-faultplan/1","events":[{"at_ns":1e16,"kind":"flush_all"}]}`,
 		"huge dur":      `{"schema":"hypertrio-faultplan/1","events":[{"at_ns":1,"kind":"walker_fault","dur_ns":-1e300}]}`,
 		"huge backoff":  `{"schema":"hypertrio-faultplan/1","retry":{"backoff_ns":1e20},"events":[]}`,
+		"trailing data": `{"schema":"hypertrio-faultplan/1","events":[]} {"schema":"x"} garbage`,
 	}
 	for name, doc := range cases {
 		if _, err := ReadPlan(strings.NewReader(doc)); err == nil {

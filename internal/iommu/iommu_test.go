@@ -353,3 +353,87 @@ func TestFlushAllKeepsHistory(t *testing.T) {
 		}
 	}
 }
+
+// TestTranslateZeroAllocs pins the allocation contract of the chipset
+// translate on its three hot paths, as BenchmarkIOMMUTranslate* time
+// them: full walks over unpartitioned walk caches, walks resumed from a
+// page-walk-cache hit, and memo replays for SIDs that share a template
+// table. Once warm, none of them allocates.
+func TestTranslateZeroAllocs(t *testing.T) {
+	type page struct {
+		sid   mem.SID
+		iova  uint64
+		shift uint8
+	}
+	bySID := func(sets int) Config {
+		return Config{
+			ContextCache: DefaultContextCache(),
+			L2PWC:        tlb.Config{Name: "l2pwc", Sets: sets, Ways: 16, Policy: tlb.LFU, Index: tlb.BySID},
+			L3PWC:        tlb.Config{Name: "l3pwc", Sets: sets, Ways: 16, Policy: tlb.LFU, Index: tlb.BySID},
+		}
+	}
+	cases := []struct {
+		name    string
+		build   func(t *testing.T) (*IOMMU, []page)
+		resumed bool // every warm translation must resume from a PWC hit
+	}{
+		{"full-walk", func(t *testing.T) (*IOMMU, []page) {
+			ct, tenants, spaces := buildTenants(t, 16, workload.Websearch)
+			var pages []page
+			for _, as := range spaces {
+				for _, iova := range as.DataPages {
+					pages = append(pages, page{as.SID, iova, mem.HugePageShift})
+				}
+			}
+			return New(testConfig(0), ct, tenants), pages
+		}, false},
+		{"resume", func(t *testing.T) (*IOMMU, []page) {
+			const n = 256
+			ct, tenants, spaces := buildTenants(t, n, workload.Websearch)
+			var pages []page
+			for _, as := range spaces {
+				for _, iova := range append([]uint64{as.Ring, as.Mailbox}, as.InitPages...) {
+					pages = append(pages, page{as.SID, iova, mem.PageShift})
+				}
+			}
+			return New(bySID(n), ct, tenants), pages
+		}, true},
+		{"shared", func(t *testing.T) (*IOMMU, []page) {
+			ct, tenants, spaces := buildSharedTenants(t, workload.RingSlots, 1024, workload.Websearch)
+			var pages []page
+			for _, as := range spaces {
+				for _, iova := range append(append([]uint64{as.Ring, as.Mailbox}, as.InitPages...), as.DataPages...) {
+					pages = append(pages, page{as.SID, iova, workload.PageShiftOf(iova)})
+				}
+			}
+			return New(bySID(32), ct, tenants), pages
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			u, pages := tc.build(t)
+			i := 0
+			translate := func() {
+				p := pages[i%len(pages)]
+				i++
+				res, err := u.Translate(p.sid, p.iova, p.shift, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.resumed && i > len(pages) && res.PWCLevel == 0 {
+					t.Fatalf("SID %d iova %#x: full walk on a warm resumed path", p.sid, p.iova)
+				}
+			}
+			for i < len(pages) {
+				translate()
+			}
+			if avg := testing.AllocsPerRun(100, func() {
+				for j := 0; j < 64; j++ {
+					translate()
+				}
+			}); avg != 0 {
+				t.Fatalf("Translate allocates %v per 64 translations, want 0", avg)
+			}
+		})
+	}
+}

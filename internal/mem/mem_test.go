@@ -641,3 +641,33 @@ func TestMutationEpoch(t *testing.T) {
 		t.Fatal("ReplayReads changed the epoch")
 	}
 }
+
+// TestWalkIntoZeroAllocs pins the allocation contract of the nested walk
+// the chipset model runs: WalkInto with a reused access buffer allocates
+// nothing (the path BenchmarkNestedWalk times).
+func TestWalkIntoZeroAllocs(t *testing.T) {
+	host := NewSpace("host", 0x1_0000_0000, 0)
+	nt, err := NewNestedTable("t", 0x40000000, host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const iova = 0xbbe00000
+	if _, _, err := nt.MapIOVA(iova, HugePageShift); err != nil {
+		t.Fatal(err)
+	}
+	res, err := nt.WalkInto(iova, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, off := res.Accesses, uint64(0)
+	if avg := testing.AllocsPerRun(100, func() {
+		off = (off + 0x1040) % HugePageSize
+		res, err := nt.WalkInto(iova+off, buf[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = res.Accesses
+	}); avg != 0 {
+		t.Fatalf("WalkInto allocates %v per walk, want 0", avg)
+	}
+}

@@ -25,6 +25,7 @@ func FuzzScenarioCodec(f *testing.F) {
 	f.Add([]byte(`{"schema":"hypertrio-scenario/1","name":"�","seed":-1,` +
 		`"interleave":"RAND1","scale":1e-300,"classes":[],"phases":[]}`))
 	f.Add([]byte(`{"scale":null}`))
+	f.Add([]byte(`{"schema":"hypertrio-scenario/1"} {"schema":"x"} garbage`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadScenario(bytes.NewReader(data))
 		if err != nil {

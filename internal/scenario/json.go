@@ -71,6 +71,9 @@ func ReadScenario(r io.Reader) (*Scenario, error) {
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("scenario: decoding: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("scenario: decoding: data after the document")
+	}
 	if doc.Schema != Schema {
 		return nil, fmt.Errorf("scenario: schema %q, want %q", doc.Schema, Schema)
 	}

@@ -55,6 +55,7 @@ func TestReadScenarioRejects(t *testing.T) {
 		{"bad interleave", strings.Replace(valid, `"interleave": "RR1"`, `"interleave": "ZZ1"`, 1), "interleav"},
 		{"bad envelope kind", strings.Replace(valid, `"kind": "flat"`, `"kind": "cubic"`, 1), "envelope"},
 		{"invalid scenario", strings.Replace(valid, `"tenants": 12`, `"tenants": -3`, 1), "tenants"},
+		{"trailing data", valid + `{"schema":"x"} garbage`, "after the document"},
 	}
 	for _, tc := range cases {
 		_, err := ReadScenario(strings.NewReader(tc.doc))

@@ -452,3 +452,44 @@ func TestResetStats(t *testing.T) {
 		t.Fatal("ResetStats dropped entries")
 	}
 }
+
+// TestLookupInsertZeroAllocs pins the allocation contract of the
+// lookup-then-fill-on-miss step every translation structure runs: once
+// built, a cache allocates nothing on hits, misses, fills or evictions.
+// The geometries are those of BenchmarkDevTLB and BenchmarkTLBHotPath.
+func TestLookupInsertZeroAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		cfg        Config
+		sids, tags int
+	}{
+		{"devtlb-by-address", Config{Name: "devtlb", Sets: 8, Ways: 8, Policy: LFU, Index: ByAddress}, 64, 8},
+		{"devtlb-partitioned", Config{Name: "devtlb", Sets: 8, Ways: 8, Policy: LFU, Index: BySID}, 64, 8},
+		{"context-1x64-lru", Config{Name: "context-cache", Sets: 1, Ways: 64, Policy: LRU}, 1024, 1},
+		{"pwc-32x16-lfu-bysid", Config{Name: "l2pwc", Sets: 32, Ways: 16, Policy: LFU, Index: BySID}, 1024, 3},
+		{"devtlb-8x8-lfu-bysid", Config{Name: "devtlb", Sets: 8, Ways: 8, Policy: LFU, Index: BySID}, 1024, 4},
+		{"pb-1x8-lru", Config{Name: "prefetch-buffer", Sets: 1, Ways: 8, Policy: LRU}, 1024, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(tc.cfg)
+			i := 0
+			step := func() {
+				key := k(uint32(i%tc.sids)+1, uint64(i/tc.sids%tc.tags))
+				if _, ok := c.Lookup(key); !ok {
+					c.Insert(Entry{Key: key, Value: uint64(i)})
+				}
+				i++
+			}
+			for i < tc.sids*tc.tags {
+				step()
+			}
+			if avg := testing.AllocsPerRun(100, func() {
+				for j := 0; j < 64; j++ {
+					step()
+				}
+			}); avg != 0 {
+				t.Fatalf("lookup+insert allocates %v per 64 steps, want 0", avg)
+			}
+		})
+	}
+}

@@ -39,7 +39,7 @@ type refReplacer interface {
 }
 
 func newRefCache(cfg Config) *refCache {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	c := &refCache{cfg: cfg, sets: make([][]refSlot, cfg.Sets), index: newIndexFunc(cfg.Index)}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"hypertrio/internal/mem"
@@ -80,8 +81,8 @@ func (c MixConfig) validate() error {
 		if cl.Weight < 0 {
 			return fmt.Errorf("trace: mix class %d (%s): weight must be >= 0, got %d", i, cl.Name, cl.Weight)
 		}
-		if cl.Scale <= 0 {
-			return fmt.Errorf("trace: mix class %d (%s): scale must be positive, got %v", i, cl.Name, cl.Scale)
+		if !(cl.Scale > 0 && cl.Scale <= math.MaxFloat64) {
+			return fmt.Errorf("trace: mix class %d (%s): scale must be positive and finite, got %v", i, cl.Name, cl.Scale)
 		}
 		if err := cl.Profile.Validate(); err != nil {
 			return fmt.Errorf("trace: mix class %d (%s): %w", i, cl.Name, err)

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 
 	"hypertrio/internal/mem"
@@ -27,6 +28,8 @@ func TestMixValidation(t *testing.T) {
 		{"zero tenants", func(c *MixConfig) { c.Classes[0].Tenants = 0 }},
 		{"negative weight", func(c *MixConfig) { c.Classes[1].Weight = -1 }},
 		{"zero scale", func(c *MixConfig) { c.Classes[0].Scale = 0 }},
+		{"NaN scale", func(c *MixConfig) { c.Classes[0].Scale = math.NaN() }},
+		{"infinite scale", func(c *MixConfig) { c.Classes[1].Scale = math.Inf(1) }},
 		{"zero burst", func(c *MixConfig) { c.Interleave.Burst = 0 }},
 		{"bad profile", func(c *MixConfig) { c.Classes[0].Profile.Streams = 0 }},
 	}

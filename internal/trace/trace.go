@@ -170,7 +170,7 @@ func (c Config) validate() error {
 	if c.Interleave.Burst <= 0 {
 		return fmt.Errorf("trace: interleave burst must be positive")
 	}
-	if c.Scale <= 0 || c.Scale > 1 {
+	if !(c.Scale > 0 && c.Scale <= 1) {
 		return fmt.Errorf("trace: scale must be in (0,1], got %v", c.Scale)
 	}
 	return nil

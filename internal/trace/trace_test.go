@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"hypertrio/internal/workload"
@@ -22,10 +23,16 @@ func TestConstructValidation(t *testing.T) {
 		{Benchmark: workload.Iperf3, Tenants: 4, Interleave: Interleave{RoundRobin, 0}, Scale: 0.1},
 		{Benchmark: workload.Iperf3, Tenants: 4, Interleave: RR1, Scale: 0},
 		{Benchmark: workload.Iperf3, Tenants: 4, Interleave: RR1, Scale: 1.5},
+		{Benchmark: workload.Iperf3, Tenants: 4, Interleave: RR1, Scale: math.NaN()},
+		{Benchmark: workload.Iperf3, Tenants: 4, Interleave: RR1, Scale: math.Inf(1)},
+		{Benchmark: workload.Iperf3, Tenants: 4, Interleave: RR1, Scale: math.Inf(-1)},
 	}
 	for i, c := range bad {
 		if _, err := Construct(c); err == nil {
-			t.Errorf("config %d accepted: %+v", i, c)
+			t.Errorf("config %d accepted by Construct: %+v", i, c)
+		}
+		if _, err := NewStream(c); err == nil {
+			t.Errorf("config %d accepted by NewStream: %+v", i, c)
 		}
 	}
 }

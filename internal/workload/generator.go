@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 
 	"hypertrio/internal/mem"
@@ -97,8 +98,8 @@ func NewGeneratorRNG(p Profile, sid mem.SID, seed int64, scale float64, r RNG) *
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	if scale <= 0 {
-		panic("workload: scale must be positive")
+	if !(scale > 0 && scale <= math.MaxFloat64) {
+		panic("workload: scale must be positive and finite")
 	}
 	g := &Generator{
 		p:   p,

@@ -387,3 +387,19 @@ func TestSmallDataAddressSpaceWalks(t *testing.T) {
 		t.Fatalf("small-data walk made %d accesses, want 24", len(res.Accesses))
 	}
 }
+
+// TestGeneratorNextZeroAllocs pins the allocation contract of request
+// generation: Next allocates nothing per request, page advances and
+// unmaps included (the path BenchmarkGeneratorNext times).
+func TestGeneratorNextZeroAllocs(t *testing.T) {
+	g := NewGenerator(ProfileFor(Websearch), 1, 42, 1.0)
+	if avg := testing.AllocsPerRun(100, func() {
+		for j := 0; j < 64; j++ {
+			if _, ok := g.Next(); !ok {
+				t.Fatal("generator exhausted")
+			}
+		}
+	}); avg != 0 {
+		t.Fatalf("Next allocates %v per 64 requests, want 0", avg)
+	}
+}
